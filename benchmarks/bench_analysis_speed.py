@@ -4,22 +4,18 @@ Times the whole-program lock inference at k=9 over the Table 1 corpus (the
 synthetic SPEC rows at ``SPEC_SCALE`` plus the STAMP programs) in three
 modes and writes ``BENCH_analysis.json`` at the repo root:
 
-* **cold** — serial, no disk cache: the engine's baseline path and the
-  number the regression gate tracks (``total_wall_s``);
-* **parallel** — cold with ``LockInference(jobs=PARALLEL_JOBS)`` into a
-  fresh disk cache: summaries are solved bottom-up over the call-graph
-  condensation, heavy SCC levels fanning out across worker processes.
-  The worker count is clamped to the CPUs actually available
-  (``jobs_effective`` in the JSON) — on a single-core runner the
-  scheduler degrades to the serial bottom-up order, which still beats
-  the lazy path by never re-running a summary;
-* **warm** — serial rerun against the cache the parallel pass filled: the
+* **cold** — no disk cache: the engine's default path (summaries solved
+  bottom-up over the call-graph condensation) and the number the
+  regression gate tracks (``total_wall_s``);
+* **cold cached** — the same, into a fresh disk cache (not timed into the
+  JSON: it only fills the cache);
+* **warm** — rerun against the cache the cold cached pass filled: the
   front half loads pickled, sections come straight from the section
   store, the dataflow never runs.
 
-The JSON carries per-program walls for all three modes plus aggregate
-solver counters (hit rates computed from summed hits/lookups, never a
-mean of per-program rates), the ``bitset_cold_wall_s``/``bitset_warm_wall_s``
+The JSON carries per-program cold and warm walls plus aggregate solver
+counters (ratios computed from summed counts, never a mean of
+per-program ratios), the ``bitset_cold_wall_s``/``bitset_warm_wall_s``
 column pair naming the bitset kernel path's cold/warm totals, and a
 ``kernel`` microbenchmark section (join + gen/kill transfer throughput on
 synthetic fact bitsets, informational). Future PRs re-run this after
@@ -29,7 +25,7 @@ git history is the perf trajectory; ``--check-baseline`` compares a fresh
 regression (the CI analysis-speed job runs it).
 
 Run standalone (``python benchmarks/bench_analysis_speed.py [--quick]
-[--jobs N] [--check-baseline]``, ``--quick`` = STAMP-only CI smoke) or
+[--check-baseline]``, ``--quick`` = STAMP-only CI smoke) or
 under pytest (``pytest benchmarks/bench_analysis_speed.py``).
 """
 
@@ -46,10 +42,8 @@ from conftest import emit_report  # noqa: E402
 from repro.bench.configs import STAMP_BENCHMARKS  # noqa: E402
 from repro.bench.programs.spec import spec_sources  # noqa: E402
 from repro.inference import LockInference  # noqa: E402
-from repro.inference.schedule import effective_jobs  # noqa: E402
 
 SPEC_SCALE = 0.05  # matches bench_table1_analysis_time.py
-PARALLEL_JOBS = 4
 
 # Seed-engine wall clock for the full corpus at k=9 (sum of per-program
 # analysis times, same machine class), measured at the commit introducing
@@ -63,8 +57,7 @@ REGRESSION_FACTOR = 1.25
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_analysis.json")
 
 AGGREGATE_KEYS = (
-    "dataflow_steps", "summary_runs", "transfer_cache_hits",
-    "transfer_cache_misses", "transfer_cache_stale", "mask_hits",
+    "dataflow_steps", "summary_runs", "call_transfers", "mask_hits",
     "mask_fallbacks", "summaries_from_disk", "sections_from_disk",
 )
 
@@ -126,27 +119,25 @@ def corpus(quick: bool = False):
     return sources
 
 
-def _sweep(sources, jobs=1, cache_dir=None):
+def _sweep(sources, cache_dir=None):
     """One pass over the corpus; returns (per-program rows, total wall)."""
     rows = {}
     total = 0.0
     for name, source in sorted(sources.items()):
         started = time.perf_counter()
-        result = LockInference(source, k=9, jobs=jobs,
-                               cache_dir=cache_dir).run()
+        result = LockInference(source, k=9, cache_dir=cache_dir).run()
         elapsed = time.perf_counter() - started
         total += elapsed
         rows[name] = (elapsed, result.profile)
     return rows, total
 
 
-def measure(quick: bool = False, jobs: int = PARALLEL_JOBS):
+def measure(quick: bool = False):
     sources = corpus(quick)
     cache_root = tempfile.mkdtemp(prefix="bench-analysis-cache-")
     try:
         cold_rows, cold_total = _sweep(sources)
-        par_rows, par_total = _sweep(sources, jobs=jobs,
-                                     cache_dir=cache_root)
+        _sweep(sources, cache_dir=cache_root)
         warm_rows, warm_total = _sweep(sources, cache_dir=cache_root)
     finally:
         shutil.rmtree(cache_root, ignore_errors=True)
@@ -156,18 +147,15 @@ def measure(quick: bool = False, jobs: int = PARALLEL_JOBS):
     warm_aggregate = {key: 0 for key in AGGREGATE_KEYS}
     for name in sorted(sources):
         cold_s, profile = cold_rows[name]
-        par_s, _ = par_rows[name]
         warm_s, warm_profile = warm_rows[name]
         rows[name] = {
             "wall_s": round(cold_s, 4),
-            "parallel_s": round(par_s, 4),
             "warm_s": round(warm_s, 4),
             "pointer_s": round(profile.pointer_time, 4),
             "dataflow_s": round(profile.dataflow_time, 4),
             "sections": profile.sections,
             "dataflow_steps": profile.dataflow_steps,
-            "transfer_cache_hit_rate": round(
-                profile.transfer_cache_hit_rate, 3),
+            "call_transfers": profile.call_transfers,
             "mask_hit_rate": round(profile.mask_hit_rate, 3),
             "fact_terms": profile.fact_terms,
             "peak_bitset_popcount": profile.peak_bitset_popcount,
@@ -175,17 +163,11 @@ def measure(quick: bool = False, jobs: int = PARALLEL_JOBS):
         for key in AGGREGATE_KEYS:
             aggregate[key] += getattr(profile, key)
             warm_aggregate[key] += getattr(warm_profile, key)
-    lookups = (aggregate["transfer_cache_hits"]
-               + aggregate["transfer_cache_misses"])
-    aggregate["transfer_cache_hit_rate"] = round(
-        aggregate["transfer_cache_hits"] / lookups, 4) if lookups else 0.0
     return {
         "benchmark": "table1-k9-column",
         "quick": quick,
         "k": 9,
         "spec_scale": SPEC_SCALE,
-        "jobs": jobs,
-        "jobs_effective": effective_jobs(jobs),
         "programs": rows,
         "total_wall_s": round(cold_total, 3),
         # the cold/warm walls of the bitset kernel path, under the names
@@ -194,9 +176,7 @@ def measure(quick: bool = False, jobs: int = PARALLEL_JOBS):
         "bitset_cold_wall_s": round(cold_total, 3),
         "bitset_warm_wall_s": round(warm_total, 3),
         "kernel": kernel_microbench(),
-        "parallel_wall_s": round(par_total, 3),
         "warm_wall_s": round(warm_total, 3),
-        "parallel_speedup": round(cold_total / par_total, 2),
         "warm_speedup": round(cold_total / warm_total, 2),
         "seed_total_wall_s": SEED_TOTAL_S if not quick else None,
         "speedup_vs_seed": (round(SEED_TOTAL_S / cold_total, 2)
@@ -207,20 +187,20 @@ def measure(quick: bool = False, jobs: int = PARALLEL_JOBS):
 
 
 def render(report) -> str:
-    lines = [f"{'Program':12s} {'cold (s)':>9s} {'par (s)':>9s} "
+    lines = [f"{'Program':12s} {'cold (s)':>9s} "
              f"{'warm (s)':>9s} {'sections':>9s} {'steps':>9s} "
-             f"{'cache hit':>10s} {'mask hit':>9s}"]
+             f"{'calls':>9s} {'mask hit':>9s}"]
     for name, row in sorted(report["programs"].items()):
         lines.append(
-            f"{name:12s} {row['wall_s']:9.3f} {row['parallel_s']:9.3f} "
+            f"{name:12s} {row['wall_s']:9.3f} "
             f"{row['warm_s']:9.3f} {row['sections']:9d} "
             f"{row['dataflow_steps']:9d} "
-            f"{row['transfer_cache_hit_rate']:10.1%} "
+            f"{row['call_transfers']:9d} "
             f"{row['mask_hit_rate']:9.1%}"
         )
     lines.append(
         f"{'TOTAL':12s} {report['total_wall_s']:9.3f} "
-        f"{report['parallel_wall_s']:9.3f} {report['warm_wall_s']:9.3f}"
+        f"{report['warm_wall_s']:9.3f}"
     )
     kernel = report["kernel"]
     lines.append(
@@ -229,11 +209,7 @@ def render(report) -> str:
         f"transfer {kernel['transfer_ops_per_s'] / 1e6:.2f} Mop/s"
     )
     lines.append(
-        f"parallel (jobs={report['jobs']}, "
-        f"effective {report['jobs_effective']}): "
-        f"{report['parallel_speedup']:.2f}x vs cold; "
-        f"warm disk cache: {report['warm_speedup']:.2f}x vs cold"
-    )
+        f"warm disk cache: {report['warm_speedup']:.2f}x vs cold")
     if report["speedup_vs_seed"] is not None:
         lines.append(
             f"seed engine baseline {report['seed_total_wall_s']:.2f}s "
@@ -282,7 +258,6 @@ def test_analysis_speed(benchmark):
     benchmark.extra_info["total_wall_s"] = report["total_wall_s"]
     benchmark.extra_info["bitset_cold_wall_s"] = report["bitset_cold_wall_s"]
     benchmark.extra_info["bitset_warm_wall_s"] = report["bitset_warm_wall_s"]
-    benchmark.extra_info["parallel_wall_s"] = report["parallel_wall_s"]
     benchmark.extra_info["warm_wall_s"] = report["warm_wall_s"]
     benchmark.extra_info["speedup_vs_seed"] = report["speedup_vs_seed"]
     write_json(report)
@@ -307,10 +282,7 @@ def main(argv=None) -> int:
     argv = list(argv if argv is not None else sys.argv[1:])
     quick = "--quick" in argv
     gate = "--check-baseline" in argv
-    jobs = PARALLEL_JOBS
-    if "--jobs" in argv:
-        jobs = int(argv[argv.index("--jobs") + 1])
-    report = measure(quick=quick, jobs=jobs)
+    report = measure(quick=quick)
     print(render(report))
     ok = True
     if gate:

@@ -15,6 +15,7 @@ shapes (distinct points-to classes).
 from __future__ import annotations
 
 import random
+import zlib
 from typing import List
 
 # Paper Table 1 sizes in KLoC.
@@ -29,10 +30,16 @@ SPEC_SIZES = {
 }
 
 
+def _rng(name: str, seed: int) -> random.Random:
+    """The program's RNG, seeded from a stable digest of its name (the
+    builtin ``hash`` of a str is salted per process)."""
+    return random.Random((zlib.crc32(name.encode()) & 0xFFFF) * 31 + seed)
+
+
 def generate_spec_program(name: str, kloc: float, seed: int = 0) -> str:
     """Generate a deterministic mini-C program of roughly *kloc* KLoC whose
     ``main`` is wrapped in a single atomic section (the paper's setup)."""
-    rng = random.Random((hash(name) & 0xFFFF) * 31 + seed)
+    rng = _rng(name, seed)
     lines: List[str] = []
     n_structs = max(2, int(kloc / 4) + 2)
     for s in range(n_structs):
@@ -91,7 +98,7 @@ def generate_spec_program(name: str, kloc: float, seed: int = 0) -> str:
 
 def _struct_of(f: int, name: str, seed: int, n_structs: int) -> int:
     """The struct index function f was generated with (re-derives the RNG)."""
-    rng = random.Random((hash(name) & 0xFFFF) * 31 + seed)
+    rng = _rng(name, seed)
     # consume the same number of draws the generator used before function f
     value = 0
     for i in range(f + 1):

@@ -2,17 +2,17 @@
 
 Commands:
 
-* ``analyze <file.mc> [--k K] [--no-effects] [--jobs N] [--cache-dir D]
+* ``analyze <file.mc> [--k K] [--no-effects] [--cache-dir D]
   [--no-disk-cache] [--profile]`` — print the inferred locks per atomic
-  section and the Figure 7-style classification counts; ``--jobs`` fans
-  independent call-graph SCCs out across worker processes, the persistent
-  analysis cache (on by default, rooted next to the bench result cache)
-  makes warm reruns of an unchanged file skip the dataflow outright;
-  ``--profile`` appends the AnalysisProfile (phase timers, per-SCC
-  timings, solver counters, transfer-cache and disk-cache hit rates,
-  the bitset kernel's mask-hit rate / fallback count / fact-interner
-  size / peak IN-set popcount, alias-class cache traffic, intern-table
-  sizes);
+  section and the Figure 7-style classification counts; function
+  summaries are solved bottom-up over the call graph's SCCs, and the
+  persistent analysis cache (on by default, rooted next to the bench
+  result cache) makes warm reruns of an unchanged file skip the dataflow
+  outright; ``--profile`` appends the AnalysisProfile (phase timers,
+  per-SCC timings, solver counters including call transfers, disk-cache
+  traffic, the bitset kernel's mask-hit rate / fallback count /
+  fact-interner size / peak IN-set popcount, alias-class cache traffic,
+  intern-table sizes);
 * ``transform <file.mc> [--k K]`` — print the transformed (acquireAll /
   releaseAll) program;
 * ``run <bench> --config CFG [--threads N] [--ops N] [--setting S]`` —
@@ -94,7 +94,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         result = LockInference(source, k=args.k,
                                use_effects=not args.no_effects,
-                               jobs=args.jobs, cache_dir=cache_dir,
+                               cache_dir=cache_dir,
                                budget=_budget_from_args(args),
                                allow_partial=args.allow_partial,
                                checkpoint_every=args.checkpoint_every).run()
@@ -586,9 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--k", type=int, default=9)
     p.add_argument("--no-effects", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="solve independent call-graph SCCs across N worker "
-                        "processes (default 1: serial, bit-identical)")
     p.add_argument("--cache-dir", default=None,
                    help="root of the persistent analysis cache (default "
                         "benchmarks/results/cache; shared with the bench "

@@ -14,6 +14,12 @@ Two performance-oriented entry points sit alongside it:
 * every run produces an :class:`AnalysisProfile` (phase timers + engine
   counters + intern-table sizes) on ``InferenceResult.profile``, surfaced
   by the CLI's ``--profile`` flag and the analysis-speed benchmark.
+
+With caches on (the default), every run solves function summaries
+bottom-up over the call graph's SCC condensation
+(:mod:`repro.inference.schedule`) before analyzing any section, so no
+summary is re-run because a callee moved; ``enable_caches=False`` keeps
+the reference engine's lazy, demand-driven order.
 """
 
 from __future__ import annotations
@@ -85,11 +91,11 @@ class AnalysisProfile:
     ``pointer_time`` report the shared front half's one-time cost, which a
     sweep pays once, not per configuration.
     Counter semantics: ``dataflow_steps`` counts transfer-function
-    *executions*, ``transfer_cache_hits`` counts call-node transfers
-    answered from the whole-set cache instead, ``mask_hits`` /
-    ``mask_fallbacks`` split the bitset kernel's statement transfers into
-    visits served entirely by precomputed masks/memos vs visits that had
-    to build at least one per-term memo entry, ``summary_runs`` counts
+    *executions*, ``call_transfers`` counts the call-node ones among
+    them, ``mask_hits`` / ``mask_fallbacks`` split the bitset kernel's
+    statement transfers into visits served entirely by precomputed
+    masks/memos vs visits that had to build at least one per-term memo
+    entry (the three partition ``dataflow_steps``), ``summary_runs`` counts
     whole-function summary dataflows, and ``section_reruns`` counts region
     re-analyses forced by a changed summary dependency.  ``fact_terms`` is
     the size of the run's fact interner (each term carries an ro and an rw
@@ -98,7 +104,6 @@ class AnalysisProfile:
 
     k: int = 0
     use_effects: bool = True
-    jobs: int = 1
     front_time: float = 0.0
     front_shared: bool = False
     front_from_disk: bool = False
@@ -110,9 +115,7 @@ class AnalysisProfile:
     dataflow_steps: int = 0
     summary_runs: int = 0
     section_reruns: int = 0
-    transfer_cache_hits: int = 0
-    transfer_cache_misses: int = 0
-    transfer_cache_stale: int = 0
+    call_transfers: int = 0
     mask_hits: int = 0
     mask_fallbacks: int = 0
     fact_terms: int = 0
@@ -141,11 +144,6 @@ class AnalysisProfile:
                 + self.dataflow_time + self.cache_io_time)
 
     @property
-    def transfer_cache_hit_rate(self) -> float:
-        tried = self.transfer_cache_hits + self.transfer_cache_misses
-        return self.transfer_cache_hits / tried if tried else 0.0
-
-    @property
     def mask_hit_rate(self) -> float:
         visits = self.mask_hits + self.mask_fallbacks
         return self.mask_hits / visits if visits else 0.0
@@ -156,8 +154,8 @@ class AnalysisProfile:
             shared = " (disk)"
         interned = sum(self.interned_terms.values())
         lines = [
-            f"profile (k={self.k}, effects={'on' if self.use_effects else 'off'},"
-            f" jobs={self.jobs}):",
+            f"profile (k={self.k},"
+            f" effects={'on' if self.use_effects else 'off'}):",
             f"  front (parse+lower+cfg): {self.front_time:.3f}s{shared}",
             f"  pointer analysis:        {self.pointer_time:.3f}s",
         ]
@@ -169,9 +167,7 @@ class AnalysisProfile:
             f"  dataflow:                {self.dataflow_time:.3f}s",
             f"  sections analyzed:       {self.sections}",
             f"  dataflow steps:          {self.dataflow_steps}"
-            f" (+{self.transfer_cache_hits} cached,"
-            f" {self.transfer_cache_hit_rate:.0%} hit rate,"
-            f" {self.transfer_cache_stale} stale)",
+            f" ({self.call_transfers} call transfers)",
             f"  summary runs:            {self.summary_runs}",
             f"  section reruns:          {self.section_reruns}",
         ])
@@ -216,7 +212,6 @@ class AnalysisProfile:
         return {
             "k": self.k,
             "use_effects": self.use_effects,
-            "jobs": self.jobs,
             "front_time": self.front_time,
             "front_shared": self.front_shared,
             "front_from_disk": self.front_from_disk,
@@ -229,9 +224,10 @@ class AnalysisProfile:
             "dataflow_steps": self.dataflow_steps,
             "summary_runs": self.summary_runs,
             "section_reruns": self.section_reruns,
-            "transfer_cache_hits": self.transfer_cache_hits,
-            "transfer_cache_misses": self.transfer_cache_misses,
-            "transfer_cache_stale": self.transfer_cache_stale,
+            "call_transfers": self.call_transfers,
+            # read by perfbench/pipeline.py INFERENCE_COUNTERS on traced runs
+            "transfer_cache_hits": 0,
+            "transfer_cache_misses": self.call_transfers,
             "mask_hits": self.mask_hits,
             "mask_fallbacks": self.mask_fallbacks,
             "fact_terms": self.fact_terms,
@@ -368,12 +364,9 @@ class LockInference:
     :class:`SharedAnalysis` — in the latter case the front half of the
     pipeline (including the pointer analysis) is reused, not recomputed.
 
-    *jobs* > 1 precomputes function summaries bottom-up over the call
-    graph's SCC condensation, fanning independent components out across
-    worker processes (:mod:`repro.inference.schedule`); *cache_dir* roots
-    the persistent cross-run cache (:mod:`repro.inference.diskcache`).
-    Both leave the inferred lock sets bit-identical to the default
-    serial, cache-less run.
+    *cache_dir* roots the persistent cross-run cache
+    (:mod:`repro.inference.diskcache`); it leaves the inferred lock sets
+    bit-identical to the cache-less run.
     """
 
     def __init__(
@@ -384,7 +377,6 @@ class LockInference:
         specs: Optional[SpecLibrary] = None,
         alias: str = "steensgaard",
         enable_caches: bool = True,
-        jobs: int = 1,
         cache_dir: Optional[str] = None,
         budget: Optional[AnalysisBudget] = None,
         allow_partial: bool = False,
@@ -393,7 +385,6 @@ class LockInference:
     ) -> None:
         if alias not in ("steensgaard", "andersen"):
             raise ValueError(f"unknown alias analysis {alias!r}")
-        self.jobs = max(1, jobs)
         # anytime knobs: *budget* bounds the solve; *allow_partial* turns
         # budget/deadline expiry into a sound degraded result instead of
         # an exception; *checkpoint_every* > 0 flushes converged bundles
@@ -429,12 +420,11 @@ class LockInference:
 
     def run(self) -> InferenceResult:
         with trace.span("analysis.run", "inference", k=self.k,
-                        jobs=self.jobs, effects=self.use_effects):
+                        effects=self.use_effects):
             return self._run()
 
     def _run(self) -> InferenceResult:
-        profile = AnalysisProfile(k=self.k, use_effects=self.use_effects,
-                                  jobs=self.jobs)
+        profile = AnalysisProfile(k=self.k, use_effects=self.use_effects)
         if self.shared is not None:
             pointsto = self.shared.pointsto
             cfgs = self.shared.cfgs
@@ -470,7 +460,7 @@ class LockInference:
             oracle = AndersenOracle(pointsto, andersen)
         schedule = None
         disk = None
-        if self.jobs > 1 or self.cache_dir:
+        if self.enable_caches:
             with trace.timed("analysis.schedule", "inference") as sched_span:
                 schedule = build_schedule(self.program)
             profile.schedule_time = sched_span.duration
@@ -499,12 +489,10 @@ class LockInference:
         degraded_reason = None
         with trace.timed("analysis.dataflow", "inference") as flow_span:
             try:
-                if self.jobs > 1 or checkpoint is not None:
-                    # checkpointing piggybacks on the bottom-up schedule:
+                if schedule is not None:
                     # level boundaries are exactly where every summary is
-                    # final, so serial runs take it too when asked
+                    # final, so checkpointing rides on the bottom-up pass
                     report = precompute_summaries(engine, schedule,
-                                                  jobs=self.jobs,
                                                   checkpoint=checkpoint)
                     profile.sccs_run = report.sccs_run
                     profile.level_times = list(report.level_times)
@@ -545,7 +533,7 @@ class LockInference:
         profile.peak_bitset_popcount = engine.peak_bits
         profile.alias_class_hits = engine.oracle.stats["class_hits"]
         profile.alias_class_misses = engine.oracle.stats["class_misses"]
-        # the registry's cross-counter invariants (transfer-cache partition)
+        # the registry's cross-counter invariants (transfer partition)
         # are enforced at this collection point; python -O downgrades the
         # failure to a returned report
         engine.metrics.check_invariants()

@@ -36,8 +36,8 @@ class BudgetExhausted(Exception):
     """One budget axis is spent.
 
     ``reason`` is ``"wall"``, ``"steps"``, or ``"rss"``.  The exception
-    pickles cleanly (``args == (reason, message)``) so it survives the
-    round-trip out of ``ProcessPoolExecutor`` workers.
+    pickles cleanly (``args == (reason, message)``) so it survives a trip
+    between processes.
     """
 
     def __init__(self, reason: str, message: str = ""):

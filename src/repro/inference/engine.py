@@ -42,28 +42,26 @@ against):
   ops — with a per-term memo of pre-image bits and coarse emissions for
   the non-identity remainder (the per-fact fallback path);
 * call-node transfers read the summary table (non-distributive), so they
-  keep a **whole-set cache** keyed on the OUT bitset; entries carry the
-  summary generation at which they were computed — recomputed in place
-  (counted as *stale*, not as cache misses: they could never have hit)
-  when a summary changed underneath them — and the summary keys they
-  demanded, which hits re-register for the hitting run's requester so
-  dependency-driven invalidation still observes the demand;
+  decode the OUT bitset, run the set-based ``_transfer`` and encode the
+  result (counted as ``call_transfers``);
 * **worklist prioritization**: dataflow runs pop nodes in reverse
   postorder of the reversed CFG (exit first), so exit-side facts reach
   their predecessors in one sweep per loop nest and re-enqueued
-  predecessors of changed nodes are processed closest-to-exit first —
-  fewer distinct OUT sets per node, so more transfer-cache hits;
+  predecessors of changed nodes are processed closest-to-exit first;
 * **substituter reuse**: the pre-image substituter for a given (write,
   scope) pair is built once and its memo tables persist across fixpoint
   iterations (see :class:`~repro.inference.subst.Substituter`).
 
+One worklist driver per fact representation serves both section regions
+and whole-function summaries: ``_run_bits`` on the bitset kernel and
+``_run_dict`` on plain term dicts for the reference engine, which stays
+independent of the kernel.
+
 Two cross-run layers sit on top (see :mod:`repro.inference.schedule` and
 :mod:`repro.inference.diskcache`): :meth:`Engine.precompute_funcs` solves
-access summaries bottom-up over the call-graph condensation (the parallel
-scheduler fans independent SCCs out across processes and merges their
-entries back via :meth:`Engine.import_summaries`), and an optional
-persistent disk cache serves whole summary bundles and section lock sets
-keyed by content hashes of the function's SCC cone.
+access summaries bottom-up over the call-graph condensation, and an
+optional persistent disk cache serves whole summary bundles and section
+lock sets keyed by content hashes of the function's SCC cone.
 """
 
 from __future__ import annotations
@@ -120,18 +118,14 @@ DEADLINE_POLL_EVERY = 128
 
 # The engine's solver counters, grouped in one registry-backed bundle.
 # ``dataflow_steps`` counts executed transfers; with caches on, every step
-# is exactly one of: a call-cache miss, a call-cache stale recompute, a
-# kernel visit fully served by masks/memos (``mask_hits``), or a kernel
-# visit that had to build at least one per-term memo entry
-# (``mask_fallbacks``).  Call-cache *hits* execute nothing and sit outside
-# the partition.
+# is exactly one of: a call-node transfer (``call_transfers``), a kernel
+# visit fully served by masks/memos (``mask_hits``), or a kernel visit that
+# had to build at least one per-term memo entry (``mask_fallbacks``).
 STAT_NAMES = (
     "dataflow_steps",
     "summary_runs",
     "section_reruns",
-    "transfer_cache_hits",
-    "transfer_cache_misses",
-    "transfer_cache_stale",
+    "call_transfers",
     "mask_hits",
     "mask_fallbacks",
     "summaries_from_disk",
@@ -179,33 +173,11 @@ class _RunContext:
         self.engine = engine
         self.requester = requester
         self.coarse: Set[Tuple[Optional[int], str]] = set()
-        # while a call-cache entry is being computed, its coarse emissions
-        # and demanded summary keys are additionally recorded here so both
-        # can be replayed verbatim on later cache hits (the demand replay
-        # keeps dependency-driven invalidation sound across requesters)
-        self._record: Optional[Set[Tuple[Optional[int], str]]] = None
-        self._demands: Optional[Set[tuple]] = None
 
     def emit_coarse(self, cls: Optional[int], eff: str) -> None:
         self.coarse.add((cls, eff))
-        if self._record is not None:
-            self._record.add((cls, eff))
-
-    def begin_record(self) -> None:
-        self._record = set()
-        self._demands = set()
-
-    def end_record(self) -> Tuple[FrozenSet[Tuple[Optional[int], str]],
-                                  Tuple[tuple, ...]]:
-        recorded = frozenset(self._record or ())
-        demanded = tuple(self._demands or ())
-        self._record = None
-        self._demands = None
-        return recorded, demanded
 
     def get_summary(self, key: tuple) -> SummaryResult:
-        if self._demands is not None:
-            self._demands.add(key)
         return self.engine._demand_summary(key, self.requester)
 
 
@@ -321,13 +293,9 @@ class Engine:
         # performance caches (see module docstring); all bypassed when
         # enable_caches is False
         self._substituters: Dict[Tuple[WriteInfo, str], Substituter] = {}
-        # call-node whole-set cache:
-        #   (node gid, out bitset, with_g) ->
-        #       (summary generation, result bitset, coarse, demanded keys)
-        self._transfer_cache: Dict[tuple, tuple] = {}
         # the bitset kernel: the per-run fact-ID space, per-(node, with_g)
         # gen/kill kernels, and engine-local node ids (``Node.uid`` is only
-        # unique within one function's CFG, so cache/kernel keys use a gid
+        # unique within one function's CFG, so kernel keys use a gid
         # assigned per node object; the cfgs keep every node alive)
         self._interner = FactInterner() if enable_caches else None
         self._kernels: Dict[Tuple[int, bool], _NodeKernel] = {}
@@ -337,29 +305,27 @@ class Engine:
         self._backward_ranks: Dict[str, Dict[int, int]] = {}
         self._tracer = get_tracer()
         # solver counters live in a metrics registry; ``stats`` is the
-        # dict-shaped view the rest of the code (and the parallel-merge
-        # path) mutates, so every increment lands in the registry.  The
-        # kernel increments through ``raw`` (the same backing dict) to
-        # skip MutableMapping dispatch on the per-node path.
+        # dict-shaped view the rest of the code mutates, so every
+        # increment lands in the registry.  The kernel increments through
+        # ``raw`` (the same backing dict) to skip MutableMapping dispatch
+        # on the per-node path.
         self.metrics = MetricsRegistry()
         self.stats = self.metrics.counter_bundle(
             "engine", STAT_NAMES, help="lock-inference solver counters")
         self._stats_raw = self.stats.raw
         if enable_caches:
-            # every executed transfer is exactly one counted call-cache
-            # miss, call-cache stale recompute, kernel mask hit, or kernel
-            # fallback — double accounting anywhere breaks this partition
+            # every executed transfer is exactly one counted call-node
+            # transfer, kernel mask hit, or kernel fallback — double
+            # accounting anywhere breaks this partition
             stats = self.stats
             self.metrics.add_invariant(
                 "transfer-partition",
-                lambda _reg: (stats["transfer_cache_misses"]
-                              + stats["transfer_cache_stale"]
+                lambda _reg: (stats["call_transfers"]
                               + stats["mask_hits"]
                               + stats["mask_fallbacks"]
                               == stats["dataflow_steps"]),
                 lambda _reg: (
-                    f"misses {stats['transfer_cache_misses']} + stale "
-                    f"{stats['transfer_cache_stale']} + mask_hits "
+                    f"call_transfers {stats['call_transfers']} + mask_hits "
                     f"{stats['mask_hits']} + mask_fallbacks "
                     f"{stats['mask_fallbacks']} != dataflow_steps "
                     f"{stats['dataflow_steps']}"),
@@ -431,7 +397,8 @@ class Engine:
             # _deps persists) actually changed during the solve
             while True:
                 ctx = _RunContext(self, requester)
-                entry_terms = self._run_region(func_name, section, ctx)
+                entry_terms = self._run(func_name, section.nodes,
+                                        section.enter, None, {}, True, ctx)
                 changed = self._solve_summaries()
                 deps = self._deps
                 if not any(requester in deps.get(key, ()) for key in changed):
@@ -442,7 +409,8 @@ class Engine:
             while True:
                 version = self._version
                 ctx = _RunContext(self, requester)
-                entry_terms = self._run_region(func_name, section, ctx)
+                entry_terms = self._run(func_name, section.nodes,
+                                        section.enter, None, {}, True, ctx)
                 self._solve_summaries()
                 if self._version == version:
                     break
@@ -557,24 +525,8 @@ class Engine:
         self._solve_summaries()
 
     def summary_items(self):
-        """Snapshot view of the summary table (scheduler merge support)."""
+        """Live view of the summary table (what the disk cache stores)."""
         return self._summaries.items()
-
-    def import_summaries(self, entries) -> int:
-        """Adopt summary entries computed elsewhere (a worker process).
-
-        Bumps the summary generation when anything changed so stale
-        call-node transfer memos recompute against the new table.
-        """
-        imported = 0
-        for key, value in entries:
-            if self._summaries.get(key) != value:
-                self._summaries[key] = value
-                self.dirty_funcs.add(key[1])
-                imported += 1
-        if imported:
-            self._version += 1
-        return imported
 
     def _compute_summary(self, key: tuple) -> SummaryResult:
         self.stats["summary_runs"] += 1
@@ -591,7 +543,8 @@ class Engine:
         else:  # ("xfer", func, term, eff)
             seed = {key[2]: key[3]}
             with_g = False
-        entry = self._run_function(func_name, cfg, seed, with_g, ctx)
+        entry = self._run(func_name, cfg.nodes, cfg.entry, cfg.exit, seed,
+                          with_g, ctx)
         terms: Set[Tuple[Term, str]] = set()
         allowed = set(func.params) | set(self.program.globals)
         for term, eff in entry.items():
@@ -630,124 +583,74 @@ class Engine:
             self._backward_ranks[func_name] = rank
         return rank
 
-    def _run_region(
-        self, func_name: str, section: SectionInfo, ctx: _RunContext
+    def _run(
+        self,
+        func_name: str,
+        nodes: List[Node],
+        entry: Node,
+        exit_node: Optional[Node],
+        exit_seed: TermSet,
+        with_g: bool,
+        ctx: _RunContext,
     ) -> TermSet:
-        if self.enable_caches:
-            return self._run_region_bits(func_name, section, ctx)
-        region = section.nodes
+        """Backward dataflow over *nodes*; returns the IN set at *entry*.
+
+        A section region passes ``exit_node=None``: successors outside the
+        region contribute nothing.  A whole-function summary passes the
+        CFG's exit, whose IN set stays pinned to *exit_seed*.
+        """
+        run = self._run_bits if self.enable_caches else self._run_dict
+        return run(func_name, nodes, entry, exit_node, exit_seed, with_g, ctx)
+
+    def _run_dict(self, func_name: str, nodes: List[Node], entry: Node,
+                  exit_node: Optional[Node], exit_seed: TermSet,
+                  with_g: bool, ctx: _RunContext) -> TermSet:
+        """The reference driver: plain ``{term: eff}`` sets per node."""
         rank = self._backward_rank(func_name)
-        in_sets: Dict[int, TermSet] = {n.uid: {} for n in region}
-        worklist = [(rank[n.uid], n.uid, n) for n in region]
+        in_sets: Dict[int, TermSet] = {n.uid: {} for n in nodes}
+        exit_uid = None
+        if exit_node is not None:
+            exit_uid = exit_node.uid
+            in_sets[exit_uid] = dict(exit_seed)
+        worklist = [(rank[n.uid], n.uid, n) for n in nodes]
         heapq.heapify(worklist)
-        queued = {n.uid for n in region}
+        queued = {n.uid for n in nodes}
         pops = 0
         while worklist:
             pops += 1
             if not pops % DEADLINE_POLL_EVERY:
                 self._poll()
-            _, _, node = heapq.heappop(worklist)
-            queued.discard(node.uid)
+            _, uid, node = heapq.heappop(worklist)
+            queued.discard(uid)
+            if uid == exit_uid:
+                continue
             out: TermSet = {}
             for succ in node.succs:
                 if succ.uid in in_sets:
                     _join_into(out, in_sets[succ.uid])
-            new_in = self._transfer(func_name, node, out, ctx, with_g=True)
-            if new_in != in_sets[node.uid]:
-                in_sets[node.uid] = new_in
+            new_in = self._transfer(func_name, node, out, ctx, with_g=with_g)
+            if new_in != in_sets[uid]:
+                in_sets[uid] = new_in
                 for pred in node.preds:
                     if pred.uid in in_sets and pred.uid not in queued:
                         queued.add(pred.uid)
                         heapq.heappush(
                             worklist, (rank[pred.uid], pred.uid, pred))
-        return in_sets[section.enter.uid]
+        return in_sets[entry.uid]
 
-    def _run_function(
-        self,
-        func_name: str,
-        cfg: CFG,
-        exit_seed: TermSet,
-        with_g: bool,
-        ctx: _RunContext,
-    ) -> TermSet:
-        if self.enable_caches:
-            return self._run_function_bits(func_name, cfg, exit_seed,
-                                           with_g, ctx)
+    def _run_bits(self, func_name: str, nodes: List[Node], entry: Node,
+                  exit_node: Optional[Node], exit_seed: TermSet,
+                  with_g: bool, ctx: _RunContext) -> TermSet:
+        """The kernel driver: one ``int`` bitset per node."""
         rank = self._backward_rank(func_name)
-        in_sets: Dict[int, TermSet] = {n.uid: {} for n in cfg.nodes}
-        in_sets[cfg.exit.uid] = dict(exit_seed)
-        worklist = [(rank[n.uid], n.uid, n) for n in cfg.nodes]
+        in_bits: Dict[int, int] = {n.uid: 0 for n in nodes}
+        exit_uid = None
+        if exit_node is not None:
+            exit_uid = exit_node.uid
+            in_bits[exit_uid] = self._interner.encode(exit_seed)
+        worklist = [(rank[n.uid], n.uid, n) for n in nodes]
         heapq.heapify(worklist)
-        queued = {n.uid for n in cfg.nodes}
-        pops = 0
-        while worklist:
-            pops += 1
-            if not pops % DEADLINE_POLL_EVERY:
-                self._poll()
-            _, _, node = heapq.heappop(worklist)
-            queued.discard(node.uid)
-            if node is cfg.exit:
-                continue
-            out: TermSet = {}
-            for succ in node.succs:
-                _join_into(out, in_sets[succ.uid])
-            new_in = self._transfer(func_name, node, out, ctx, with_g=with_g)
-            if new_in != in_sets[node.uid]:
-                in_sets[node.uid] = new_in
-                for pred in node.preds:
-                    if pred.uid not in queued:
-                        queued.add(pred.uid)
-                        heapq.heappush(
-                            worklist, (rank[pred.uid], pred.uid, pred))
-        return in_sets[cfg.entry.uid]
-
-    # -- bitset variants (enable_caches=True) --------------------------
-
-    def _run_region_bits(
-        self, func_name: str, section: SectionInfo, ctx: _RunContext
-    ) -> TermSet:
-        region = section.nodes
-        rank = self._backward_rank(func_name)
-        in_bits: Dict[int, int] = {n.uid: 0 for n in region}
-        worklist = [(rank[n.uid], n.uid, n) for n in region]
-        heapq.heapify(worklist)
-        queued = {n.uid for n in region}
-        pops = 0
-        while worklist:
-            pops += 1
-            if not pops % DEADLINE_POLL_EVERY:
-                self._poll()
-            _, _, node = heapq.heappop(worklist)
-            queued.discard(node.uid)
-            out = 0
-            for succ in node.succs:
-                out |= in_bits.get(succ.uid, 0)
-            new_in = self._transfer_bits(func_name, node, out, ctx, True)
-            if new_in != in_bits[node.uid]:
-                in_bits[node.uid] = new_in
-                for pred in node.preds:
-                    if pred.uid in in_bits and pred.uid not in queued:
-                        queued.add(pred.uid)
-                        heapq.heappush(
-                            worklist, (rank[pred.uid], pred.uid, pred))
-        self._note_peak(in_bits)
-        return self._interner.decode(in_bits[section.enter.uid])
-
-    def _run_function_bits(
-        self,
-        func_name: str,
-        cfg: CFG,
-        exit_seed: TermSet,
-        with_g: bool,
-        ctx: _RunContext,
-    ) -> TermSet:
-        rank = self._backward_rank(func_name)
-        in_bits: Dict[int, int] = {n.uid: 0 for n in cfg.nodes}
-        in_bits[cfg.exit.uid] = self._interner.encode(exit_seed)
-        worklist = [(rank[n.uid], n.uid, n) for n in cfg.nodes]
-        heapq.heapify(worklist)
-        queued = {n.uid for n in cfg.nodes}
-        exit_uid = cfg.exit.uid
+        queued = {n.uid for n in nodes}
         pops = 0
         while worklist:
             pops += 1
@@ -759,17 +662,17 @@ class Engine:
                 continue
             out = 0
             for succ in node.succs:
-                out |= in_bits[succ.uid]
+                out |= in_bits.get(succ.uid, 0)
             new_in = self._transfer_bits(func_name, node, out, ctx, with_g)
             if new_in != in_bits[uid]:
                 in_bits[uid] = new_in
                 for pred in node.preds:
-                    if pred.uid not in queued:
+                    if pred.uid in in_bits and pred.uid not in queued:
                         queued.add(pred.uid)
                         heapq.heappush(
                             worklist, (rank[pred.uid], pred.uid, pred))
         self._note_peak(in_bits)
-        return self._interner.decode(in_bits[cfg.entry.uid])
+        return self._interner.decode(in_bits[entry.uid])
 
     def _note_peak(self, in_bits: Dict[int, int]) -> None:
         """Fold one converged run's IN sets into ``peak_bits`` (profile)."""
@@ -793,20 +696,17 @@ class Engine:
         ctx: _RunContext,
         with_g: bool,
     ) -> int:
-        """One bitset transfer: gen/kill kernel for statement nodes, the
-        whole-set cache (with summary-generation staleness and dependency
-        replay) for call nodes.
-
-        A stale recomputation counts as ``transfer_cache_stale``, *not* as
-        a miss — the entry could not possibly have hit, so folding it into
-        the misses would understate the hit rate on the lookups the cache
-        can actually serve.
-        """
+        """One bitset transfer: the gen/kill kernel for statement nodes;
+        call nodes read the summary table, so they decode, run the
+        set-based ``_transfer`` and encode."""
         if (node.kind == "instr"
                 and isinstance(node.instr, ir.IAssign)
                 and isinstance(node.instr.rhs, ir.RCall)):
-            return self._transfer_bits_call(func_name, node, out_bits,
-                                            ctx, with_g)
+            self._stats_raw["call_transfers"] += 1
+            interner = self._interner
+            return interner.encode(self._transfer(
+                func_name, node, interner.decode(out_bits), ctx,
+                with_g=with_g))
         gids = self._node_gids
         gid = gids.get(id(node))
         if gid is None:
@@ -816,47 +716,6 @@ class Engine:
             kern = self._build_kernel(func_name, node, with_g)
             self._kernels[(gid, with_g)] = kern
         return self._kernel_transfer(kern, out_bits, ctx)
-
-    def _transfer_bits_call(
-        self,
-        func_name: str,
-        node: Node,
-        out_bits: int,
-        ctx: _RunContext,
-        with_g: bool,
-    ) -> int:
-        gids = self._node_gids
-        gid = gids.get(id(node))
-        if gid is None:
-            gid = gids[id(node)] = len(gids)
-        key = (gid, out_bits, with_g)
-        entry = self._transfer_cache.get(key)
-        raw = self._stats_raw
-        if entry is not None:
-            version, bits, coarse, demanded = entry
-            if version == self._version:
-                raw["transfer_cache_hits"] += 1
-                if coarse:
-                    ctx.coarse |= coarse
-                # replay the entry's summary demands for *this* requester,
-                # exactly as _demand_summary would have registered them
-                if demanded:
-                    deps = self._deps
-                    requester = ctx.requester
-                    for skey in demanded:
-                        deps.setdefault(skey, set()).add(requester)
-                return bits
-            raw["transfer_cache_stale"] += 1
-        else:
-            raw["transfer_cache_misses"] += 1
-        interner = self._interner
-        ctx.begin_record()
-        result = self._transfer(func_name, node, interner.decode(out_bits),
-                                ctx, with_g=with_g)
-        coarse, demanded = ctx.end_record()
-        bits = interner.encode(result)
-        self._transfer_cache[key] = (self._version, bits, coarse, demanded)
-        return bits
 
     def _build_kernel(self, func_name: str, node: Node,
                       with_g: bool) -> "_NodeKernel":

@@ -5,7 +5,7 @@ The backward must-analysis of §4 tracks, per program point, a set of
 fast is the bitvector representation: intern every fact to a dense integer
 ID and keep each program point's fact set as one arbitrary-precision
 ``int``.  Joins become a single ``|``, fixpoint change detection becomes
-integer equality, and transfer caches key on the bitset directly instead
+integer equality, and transfer memos key on the bitset directly instead
 of rebuilding a ``frozenset`` per lookup.
 
 :class:`FactInterner` is that ID space for one engine run.  Every *term*
@@ -22,12 +22,10 @@ bit patterns produced by this module maintain the invariant; ``decode``
 additionally tolerates a lone high bit (reading it as ``rw``) so it is
 total on arbitrary ints.
 
-IDs are engine-local and **never escape the process**: summaries, disk
-cache entries, and cross-process deltas all serialize terms, not IDs
-(see :mod:`repro.inference.diskcache` — the salt/cone-hash scheme is
-untouched by the kernel).  :meth:`FactInterner.remap` is the adoption
-step for any bitset that does cross an interner boundary: it re-encodes
-the bits of a foreign interner in the local ID space.
+IDs are engine-local and **never escape the engine**: summaries and disk
+cache entries serialize terms, not IDs (see
+:mod:`repro.inference.diskcache` — the salt/cone-hash scheme is untouched
+by the kernel).
 
 The interner keys its table by the hash-consed :class:`~repro.locks.terms.Term`
 instances, so lookups hash and compare at identity speed.
@@ -120,7 +118,7 @@ class FactInterner:
         while bits:
             low = bits & -bits
             idx = low.bit_length() - 1
-            if idx & 1:  # lone rw bit (foreign/malformed): still means rw
+            if idx & 1:  # lone rw bit (malformed): still means rw
                 yield terms[idx >> 1], RW
                 bits ^= low
                 continue
@@ -136,17 +134,3 @@ class FactInterner:
     def decode(self, bits: int) -> Dict[Term, str]:
         """The ``{term: effect}`` fact set *bits* encodes."""
         return dict(self.iter_facts(bits))
-
-    def remap(self, bits: int, source: "FactInterner") -> int:
-        """Re-encode *bits* from *source*'s ID space into this interner's.
-
-        This is the explicit adoption step for bitsets crossing an
-        interner boundary (e.g. state computed against another engine's
-        interner); facts unknown here are interned on the fly, so
-        ``source.decode(bits) == self.decode(self.remap(bits, source))``
-        always holds (the remap round-trip property).
-        """
-        out = 0
-        for term, eff in source.iter_facts(bits):
-            out |= self.bits_for(term, eff)
-        return out

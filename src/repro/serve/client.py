@@ -68,8 +68,12 @@ class ServeClient:
     def _connect(self) -> None:
         if self._socket_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self._timeout)
-            sock.connect(self._socket_path)
+            try:
+                sock.settimeout(self._timeout)
+                sock.connect(self._socket_path)
+            except BaseException:
+                sock.close()  # a refused attempt must not leak its fd
+                raise
         else:
             sock = socket.create_connection((self._host, self._port),
                                             timeout=self._timeout)

@@ -251,7 +251,8 @@ class AnalysisServer:
             while True:
                 try:
                     request = protocol.recv_message(conn)
-                except protocol.ProtocolError:
+                except (protocol.ProtocolError, OSError):
+                    # OSError: the drain closed this socket under recv
                     break
                 if request is None:
                     break

@@ -5,9 +5,8 @@ engine core built on it:
 
 * **encoding laws** (hypothesis over random term/effect sets) — the 2-bit
   fact encoding round-trips through ``encode``/``decode``, bitwise OR is
-  exactly the effect-lattice join (``ro ⊔ rw = rw``), popcount matches the
-  fact-set shape, and ``remap`` adopts a foreign interner's bits without
-  changing their meaning (the remap round-trip property);
+  exactly the effect-lattice join (``ro ⊔ rw = rw``) and popcount matches
+  the fact-set shape;
 * **engine equivalence** (hypothesis over k ∈ {0, 1, 9} × effects on/off,
   exhaustively per benchmark program) — the bitset engine's section locks
   render byte-identically to the set-based reference engine
@@ -130,19 +129,6 @@ def test_popcount_matches_fact_shape(facts):
     interner = FactInterner()
     rw_count = sum(1 for eff in facts.values() if eff == RW)
     assert popcount(interner.encode(facts)) == len(facts) + rw_count
-
-
-@given(facts=_FACT_SETS, warmup=st.lists(_TERMS, max_size=6))
-def test_remap_round_trip(facts, warmup):
-    source = FactInterner()
-    bits = source.encode(facts)
-    local = FactInterner()
-    for term in warmup:  # different interning order → different ID space
-        local.term_id(term)
-    assert local.decode(local.remap(bits, source)) == source.decode(bits)
-    # remapping twice through the same interner is idempotent
-    once = local.remap(bits, source)
-    assert local.remap(once, local) == once
 
 
 # ---------------------------------------------------------------------------

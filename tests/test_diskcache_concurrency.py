@@ -272,7 +272,8 @@ def test_truncated_entries_across_whole_cache_never_raise(tmp_path):
         for filename in filenames:
             if filename.endswith(".pkl"):
                 path = os.path.join(dirpath, filename)
-                payload = open(path, "rb").read()
+                with open(path, "rb") as handle:
+                    payload = handle.read()
                 with open(path, "wb") as handle:
                     handle.write(payload[: len(payload) // 2])
                 corrupted += 1

@@ -18,6 +18,11 @@ import pytest
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
+def _read(path):
+    with open(path) as handle:
+        return handle.read()
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGINT"), reason="needs SIGINT")
 def test_sigint_mid_sweep_exits_130_and_terminates_stream(tmp_path):
     events = str(tmp_path / "events.jsonl")
@@ -40,7 +45,7 @@ def test_sigint_mid_sweep_exits_130_and_terminates_stream(tmp_path):
             if proc.poll() is not None:
                 pytest.fail("sweep exited early: "
                             + proc.stderr.read().decode())
-            if os.path.exists(events) and "cell-start" in open(events).read():
+            if os.path.exists(events) and "cell-start" in _read(events):
                 break
             time.sleep(0.05)
         proc.send_signal(signal.SIGINT)
@@ -49,10 +54,11 @@ def test_sigint_mid_sweep_exits_130_and_terminates_stream(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
     assert code == 130
 
-    records = [json.loads(line)
-               for line in open(events).read().splitlines()]
+    records = [json.loads(line) for line in _read(events).splitlines()]
     kinds = [record["event"] for record in records]
     assert kinds[0] == "sweep-start"
     # pre-fix: the stream just stopped mid-sweep with no terminator

@@ -1,13 +1,16 @@
 """Golden equivalence: the optimized engine must match the naive engine.
 
 The performance layer (term interning, the bitset dataflow kernel with its
-gen/kill masks, substituter memoization, call-node transfer caching,
+gen/kill masks, substituter memoization, bottom-up summary precompute,
 dependency-driven section convergence) is required to be
 *result-preserving*: for every benchmark program and every configuration
 (k ∈ {0, 1, 3, 9}, effects on/off) the optimized engine must produce lock
 sets identical — down to the rendered text — to the reference engine with
 ``enable_caches=False`` (the seed's restart-until-globally-stable loop and
-uncached, set-based transfer functions).
+uncached, set-based transfer functions).  The two engines also solve
+summaries in different orders: the optimized one bottom-up over the call
+graph's SCCs, as ``LockInference`` runs it, the reference one lazily on
+demand from inside section dataflows.
 
 Both engines share one parse/lower/points-to front half per program so
 points-to class ids are comparable across runs.
@@ -17,7 +20,7 @@ import pytest
 
 from repro.bench import ALL_BENCHMARKS
 from repro.cfg import build_cfgs
-from repro.inference import Engine
+from repro.inference import Engine, precompute_summaries
 from repro.lang import lower_program, parse_program
 from repro.pointer import PointsTo
 
@@ -27,6 +30,8 @@ KS = (0, 1, 3, 9)
 def _section_locks(program, cfgs, pointsto, k, use_effects, enable_caches):
     engine = Engine(program, cfgs, pointsto, k=k, use_effects=use_effects,
                     enable_caches=enable_caches)
+    if enable_caches:
+        precompute_summaries(engine)
     out = {}
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
@@ -69,14 +74,12 @@ def test_reference_engine_reports_no_cache_activity():
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
             engine.analyze_section(func_name, section)
-    assert engine.stats["transfer_cache_hits"] == 0
-    assert engine.stats["transfer_cache_misses"] == 0
+    assert engine.stats["call_transfers"] == 0
     assert engine.stats["mask_hits"] == 0
     assert engine.stats["mask_fallbacks"] == 0
-    # the reference path must stay pure: no substituter reuse, no call
-    # cache, no kernels, and no fact interner (bitsets never touched)
+    # the reference path must stay pure: no substituter reuse, no
+    # kernels, and no fact interner (bitsets never touched)
     assert not engine._substituters
-    assert not engine._transfer_cache
     assert not engine._kernels
     assert not engine._kill_kernels
     assert engine._interner is None
@@ -90,6 +93,7 @@ def test_optimized_engine_actually_caches():
     pointsto = PointsTo(program).analyze()
     cfgs = build_cfgs(program)
     engine = Engine(program, cfgs, pointsto, k=9)
+    precompute_summaries(engine)
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
             engine.analyze_section(func_name, section)
@@ -97,6 +101,6 @@ def test_optimized_engine_actually_caches():
     # served by the identity-mask/memo fast path, not per-fact fallbacks
     assert engine.stats["mask_hits"] > 0
     assert engine.stats["mask_fallbacks"] > 0
-    assert engine.stats["transfer_cache_misses"] > 0  # call nodes cache
+    assert engine.stats["call_transfers"] > 0  # call nodes bypass the kernel
     assert engine.fact_terms > 0
     assert engine.peak_bits > 0

@@ -1,18 +1,19 @@
-"""Parallel SCC scheduling and the persistent analysis cache.
+"""Bottom-up SCC scheduling and the persistent analysis cache.
 
 Three guarantee families for the scheduled/cached engine paths:
 
 * **golden equivalence** — for every benchmark program and k ∈ {0, 1, 9},
-  the SCC-parallel engine (``jobs=4``), the serial default, and the
-  cache-less reference all produce identical lock sets, and a warm rerun
-  against a populated disk cache reproduces the cold run byte for byte;
+  the default run (summaries solved bottom-up), a cold run into a fresh
+  disk cache, a warm rerun against it, and the lazy cache-less reference
+  all produce identical lock sets, byte for byte;
 * **incremental invalidation** — editing one function recomputes exactly
   its SCC cone: callee summaries below the edit load from disk, functions
   above it (and only those) re-solve;
-* **accounting** — the transfer-cache counters partition transfer
-  executions exactly (``misses + stale == dataflow_steps``) and the two
-  disk namespaces (bench result cells, analysis cache) cannot collide
-  under a shared ``--cache-dir`` root.
+* **accounting** — call transfers and the kernel's mask counters
+  partition transfer executions exactly (``call_transfers + mask_hits +
+  mask_fallbacks == dataflow_steps``) and the two disk namespaces (bench
+  result cells, analysis cache) cannot collide under a shared
+  ``--cache-dir`` root.
 """
 
 import os
@@ -42,7 +43,7 @@ def _rendered(locks_by_section):
 
 
 # ---------------------------------------------------------------------------
-# golden equivalence: jobs=4 == jobs=1 == enable_caches=False, warm == cold
+# golden equivalence: default == cold-cached == warm == enable_caches=False
 # ---------------------------------------------------------------------------
 
 
@@ -53,13 +54,11 @@ def test_parallel_and_warm_match_reference(name, tmp_path):
     for k in KS:
         reference = _locks_by_section(
             LockInference(source, k=k, enable_caches=False).run())
-        serial = _locks_by_section(LockInference(source, k=k).run())
-        parallel = _locks_by_section(
-            LockInference(source, k=k, jobs=4).run())
-        cold = LockInference(source, k=k, jobs=4, cache_dir=cache_root).run()
+        default = _locks_by_section(LockInference(source, k=k).run())
+        cold = LockInference(source, k=k, cache_dir=cache_root).run()
         warm = LockInference(source, k=k, cache_dir=cache_root).run()
         warm_locks = _locks_by_section(warm)
-        for label, got in (("serial", serial), ("parallel", parallel),
+        for label, got in (("default", default),
                            ("cold-cached", _locks_by_section(cold)),
                            ("warm", warm_locks)):
             assert got == reference, f"{name} k={k}: {label} diverged"
@@ -154,15 +153,15 @@ def test_cone_hashes_change_exactly_above_an_edit():
 # ---------------------------------------------------------------------------
 
 
-def _run_engine(source, cache_root, jobs=1):
+def _run_engine(source, cache_root, bottom_up=False):
     program = lower_program(parse_program(source))
     pointsto = PointsTo(program).analyze()
     cfgs = build_cfgs(program)
     schedule = build_schedule(program)
     disk = open_cache(cache_root, program, pointsto, 9, True, schedule)
     engine = Engine(program, cfgs, pointsto, k=9, disk_cache=disk)
-    if jobs > 1:
-        precompute_summaries(engine, schedule, jobs=jobs)
+    if bottom_up:
+        precompute_summaries(engine, schedule)
     locks = {}
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
@@ -200,12 +199,20 @@ def test_edit_recomputes_only_dirty_cone(tmp_path):
     assert engine.stats["sections_from_disk"] == 0
 
 
-def test_warm_parallel_precompute_loads_instead_of_solving(tmp_path):
+def test_warm_precompute_loads_instead_of_solving(tmp_path):
     cache_root = str(tmp_path)
-    _run_engine(CHAIN, cache_root, jobs=4)
-    warm, _ = _run_engine(CHAIN, cache_root, jobs=4)
+    _run_engine(CHAIN, cache_root, bottom_up=True)
+    warm, _ = _run_engine(CHAIN, cache_root, bottom_up=True)
     assert warm.computed_funcs == set()
     assert warm.stats["summary_runs"] == 0
+
+
+def test_default_run_solves_summaries_bottom_up():
+    # the default engine solves every callee summary before the section
+    # runs, so no summary changes under the section and it never re-runs
+    profile = LockInference(CHAIN, k=9).run().profile
+    assert profile.sccs_run > 0
+    assert profile.section_reruns == 0
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +227,18 @@ def test_transfer_counters_partition_steps(name):
     pointsto = PointsTo(program).analyze()
     cfgs = build_cfgs(program)
     engine = Engine(program, cfgs, pointsto, k=9)
+    precompute_summaries(engine)
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
             engine.analyze_section(func_name, section)
     stats = engine.stats
-    # every transfer execution is exactly one call-cache miss, call-cache
-    # stale recompute, kernel mask hit, or kernel fallback; call-cache
-    # hits never execute — the counters partition the steps exactly
-    assert (stats["transfer_cache_misses"] + stats["transfer_cache_stale"]
-            + stats["mask_hits"] + stats["mask_fallbacks"]
-            == stats["dataflow_steps"])
+    # every transfer execution is exactly one call transfer, kernel mask
+    # hit, or kernel fallback — the counters partition the steps exactly
+    assert (stats["call_transfers"] + stats["mask_hits"]
+            + stats["mask_fallbacks"] == stats["dataflow_steps"])
     # the kernel's fast path must actually serve repeat visits
     assert stats["mask_hits"] > 0
-    # the old accounting bug: every step counted as a miss
-    assert stats["transfer_cache_misses"] < stats["dataflow_steps"]
+    assert 0 < stats["call_transfers"] < stats["dataflow_steps"]
 
 
 def test_reference_engine_still_counts_raw_steps():
@@ -246,8 +251,7 @@ def test_reference_engine_still_counts_raw_steps():
         for section in cfg.sections.values():
             engine.analyze_section(func_name, section)
     assert engine.stats["dataflow_steps"] > 0
-    for counter in ("transfer_cache_hits", "transfer_cache_misses",
-                    "transfer_cache_stale", "mask_hits", "mask_fallbacks"):
+    for counter in ("call_transfers", "mask_hits", "mask_fallbacks"):
         assert engine.stats[counter] == 0
 
 

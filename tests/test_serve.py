@@ -359,7 +359,9 @@ def test_sigterm_drains_subprocess(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
     assert not os.path.exists(sock)
-    kinds = [json.loads(line)["event"]
-             for line in open(events).read().splitlines()]
+    with open(events) as handle:
+        kinds = [json.loads(line)["event"] for line in handle]
     assert kinds[-1] == "serve-stop"

@@ -1,5 +1,11 @@
 """Synthetic SPEC-like corpus tests (Table 1 substrate)."""
 
+import json
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.programs.spec import SPEC_SIZES, generate_spec_program, spec_sources
@@ -57,3 +63,35 @@ def test_spec_sources_scaling():
     # relative ordering of sizes is preserved
     sizes = {name: src.count("\n") for name, src in sources.items()}
     assert sizes["vortex"] > sizes["gzip"]
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+# A timing figure such as "0.123s": everything else --profile prints is a
+# deterministic count.
+_TIMING = re.compile(r"\d+\.\d+s\b")
+
+
+def _run_with_hash_seed(seed, argv):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(seed))
+    proc = subprocess.run([sys.executable] + argv, env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return proc.stdout
+
+
+def test_corpus_and_analysis_do_not_depend_on_the_hash_seed(tmp_path):
+    dump = ("import json; from repro.bench.programs.spec import spec_sources;"
+            " print(json.dumps(spec_sources(scale=0.05), sort_keys=True))")
+    texts = [_run_with_hash_seed(seed, ["-c", dump]) for seed in (1, 2)]
+    assert texts[0] == texts[1]
+    path = tmp_path / "gzip.mc"
+    path.write_text(json.loads(texts[0])["gzip"])
+    outputs = [
+        _run_with_hash_seed(seed, ["-m", "repro", "analyze", str(path),
+                                   "--no-disk-cache", "--profile"])
+        for seed in (1, 2)
+    ]
+    counts = [[line for line in out.splitlines() if not _TIMING.search(line)]
+              for out in outputs]
+    assert any("dataflow steps" in line for line in counts[0])
+    assert counts[0] == counts[1]
