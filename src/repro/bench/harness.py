@@ -65,25 +65,18 @@ class RunResult:
         return cls(**data)
 
 
-class _InferenceCache:
-    def __init__(self) -> None:
-        self._cache: Dict[Tuple[int, int], InferenceResult] = {}
-
-    def get(self, source: str, k: int) -> InferenceResult:
-        key = (hash(source), k)
-        if key not in self._cache:
-            self._cache[key] = LockInference(shared_analysis(source), k=k).run()
-        return self._cache[key]
-
-
-_CACHE = _InferenceCache()
+_CACHE: Dict[Tuple[str, int], InferenceResult] = {}
 
 
 def inference_for(source: str, k: int) -> InferenceResult:
     """Memoized lock inference per (source, k) — shared by the benchmark
     harness and the schedule explorer, so sweeping N schedules re-analyzes
     nothing."""
-    return _CACHE.get(source, k)
+    result = _CACHE.get((source, k))
+    if result is None:
+        result = _CACHE[source, k] = LockInference(
+            shared_analysis(source), k=k).run()
+    return result
 
 
 def seed_inference_cache(source: str, k: int,
@@ -94,7 +87,7 @@ def seed_inference_cache(source: str, k: int,
     analysis server and seeds them here *before* the worker pool forks,
     so every forked worker inherits the warm entries and no cell pays
     for the analysis locally."""
-    _CACHE._cache[(hash(source), k)] = result
+    _CACHE[source, k] = result
 
 
 def run_seq(world: World, func: str, args: Sequence[int] = ()) -> object:
@@ -129,7 +122,7 @@ def build_world_for_source(
     phase runs sequentially, then the race detector's barrier marks the
     fork point so initialization never reports."""
     k = CONFIG_K.get(config, 9) if k is None else k
-    inference = _CACHE.get(source, k)
+    inference = inference_for(source, k)
     if config == "stm":
         program: ir.LoweredProgram = inference.program
         mode = "stm"

@@ -299,16 +299,14 @@ class SharedAnalysis:
                                   self.pointsto)
 
 
-_SHARED_CACHE: Dict[int, SharedAnalysis] = {}
+_SHARED_CACHE: Dict[str, SharedAnalysis] = {}
 
 
 def shared_analysis(source: str) -> SharedAnalysis:
     """Memoized :class:`SharedAnalysis` per source text (sweep helper)."""
-    key = hash(source)
-    cached = _SHARED_CACHE.get(key)
+    cached = _SHARED_CACHE.get(source)
     if cached is None:
-        cached = SharedAnalysis(source)
-        _SHARED_CACHE[key] = cached
+        cached = _SHARED_CACHE[source] = SharedAnalysis(source)
     return cached
 
 
@@ -509,7 +507,7 @@ class LockInference:
                     raise
                 degraded_reason = (exc.reason if isinstance(
                     exc, BudgetExhausted) else "deadline")
-                self._degrade(result, cfgs, engine, degraded_reason)
+                self._degrade(result, cfgs, degraded_reason)
         result.dataflow_time = flow_span.duration
         if disk is not None:
             with trace.timed("diskcache.store-dirty",
@@ -533,10 +531,16 @@ class LockInference:
         profile.peak_bitset_popcount = engine.peak_bits
         profile.alias_class_hits = engine.oracle.stats["class_hits"]
         profile.alias_class_misses = engine.oracle.stats["class_misses"]
-        # the registry's cross-counter invariants (transfer partition)
-        # are enforced at this collection point; python -O downgrades the
-        # failure to a returned report
-        engine.metrics.check_invariants()
+        if self.enable_caches:
+            # the transfer partition (see engine.STAT_NAMES); the reference
+            # engine has no kernel, so its counters do not partition
+            stats = engine.stats
+            assert (stats["call_transfers"] + stats["mask_hits"]
+                    + stats["mask_fallbacks"] == stats["dataflow_steps"]), (
+                f"call_transfers {stats['call_transfers']} + mask_hits "
+                f"{stats['mask_hits']} + mask_fallbacks "
+                f"{stats['mask_fallbacks']} != dataflow_steps "
+                f"{stats['dataflow_steps']}")
         profile.interned_terms = interning_stats()
         if degraded_reason is not None:
             profile.degraded_sections = len(result.degraded_sections)
@@ -544,7 +548,7 @@ class LockInference:
         return result
 
     def _degrade(self, result: InferenceResult, cfgs: Dict[str, CFG],
-                 engine: Engine, reason: str) -> None:
+                 reason: str) -> None:
         """Finish a budget-exhausted run soundly: every section whose
         backward pass has not converged gets the lattice top ``[(⊤, X)]``
         — the global exclusive lock protects every access, so Theorem 1
@@ -559,15 +563,10 @@ class LockInference:
                     result.sections[sid] = SectionLocks(
                         sid, func_name, fallback)
                     result.degraded_sections[sid] = reason
-        degraded = len(result.degraded_sections)
-        gauge = engine.metrics.gauge(
-            "analysis_degraded_sections", labels=("reason",),
-            help="sections coarsened to the global lock this run")
-        gauge.labels(reason).set(degraded)
         tracer = trace.get_tracer()
         if tracer.enabled:
             tracer.event(envelope("budget-exhausted", reason=reason,
-                                  degraded=degraded))
+                                  degraded=len(result.degraded_sections)))
 
 
 def infer_locks(

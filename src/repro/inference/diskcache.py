@@ -74,7 +74,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from ..cfg import build_schedule, cone_hashes
 from ..obs import trace
-from ..obs.metrics import MetricsRegistry
 
 # bump when the on-disk layout or the meaning of cached values changes
 CACHE_SCHEMA = 1
@@ -301,6 +300,19 @@ def _read_pickle(path: Optional[str],
         return None
 
 
+# hit/miss/store counters (``AnalysisDiskCache.stats``)
+STAT_NAMES = (
+    "bundle_hits",
+    "bundle_misses",
+    "bundles_stored",
+    "section_hits",
+    "section_misses",
+    "sections_stored",
+    "corrupt_entries",
+    "lock_timeouts",
+)
+
+
 class AnalysisDiskCache:
     """Summary/section store for one (program, pointer result, k, effects).
 
@@ -316,17 +328,7 @@ class AnalysisDiskCache:
         # the summary table file, read at most once per cache instance:
         # {func_name: (cone_hash, {summary_key: SummaryResult})}
         self._summ_table: Optional[Dict[str, Tuple[str, Dict]]] = None
-        self.metrics = MetricsRegistry()
-        self.stats = self.metrics.counter_bundle("diskcache", (
-            "bundle_hits",
-            "bundle_misses",
-            "bundles_stored",
-            "section_hits",
-            "section_misses",
-            "sections_stored",
-            "corrupt_entries",
-            "lock_timeouts",
-        ), help="analysis disk-cache hit/miss/store counters")
+        self.stats: Dict[str, int] = dict.fromkeys(STAT_NAMES, 0)
 
     # -- keys ----------------------------------------------------------
 

@@ -86,7 +86,6 @@ from ..locks.terms import (
     term_has_unknown,
     term_size,
 )
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
 from ..pointer.aliasing import AliasOracle
 from ..pointer.steensgaard import PointsTo
@@ -116,7 +115,7 @@ ACCESS = "$access"
 # with no deadline armed the poll is one thread-local read.
 DEADLINE_POLL_EVERY = 128
 
-# The engine's solver counters, grouped in one registry-backed bundle.
+# The engine's solver counters (``Engine.stats``).
 # ``dataflow_steps`` counts executed transfers; with caches on, every step
 # is exactly one of: a call-node transfer (``call_transfers``), a kernel
 # visit fully served by masks/memos (``mask_hits``), or a kernel visit that
@@ -304,32 +303,8 @@ class Engine:
         self.peak_bits = 0  # max popcount over any converged IN set
         self._backward_ranks: Dict[str, Dict[int, int]] = {}
         self._tracer = get_tracer()
-        # solver counters live in a metrics registry; ``stats`` is the
-        # dict-shaped view the rest of the code mutates, so every
-        # increment lands in the registry.  The kernel increments through
-        # ``raw`` (the same backing dict) to skip MutableMapping dispatch
-        # on the per-node path.
-        self.metrics = MetricsRegistry()
-        self.stats = self.metrics.counter_bundle(
-            "engine", STAT_NAMES, help="lock-inference solver counters")
-        self._stats_raw = self.stats.raw
-        if enable_caches:
-            # every executed transfer is exactly one counted call-node
-            # transfer, kernel mask hit, or kernel fallback — double
-            # accounting anywhere breaks this partition
-            stats = self.stats
-            self.metrics.add_invariant(
-                "transfer-partition",
-                lambda _reg: (stats["call_transfers"]
-                              + stats["mask_hits"]
-                              + stats["mask_fallbacks"]
-                              == stats["dataflow_steps"]),
-                lambda _reg: (
-                    f"call_transfers {stats['call_transfers']} + mask_hits "
-                    f"{stats['mask_hits']} + mask_fallbacks "
-                    f"{stats['mask_fallbacks']} != dataflow_steps "
-                    f"{stats['dataflow_steps']}"),
-            )
+        # solver counters; a misspelled ``stats[name] += 1`` raises KeyError
+        self.stats: Dict[str, int] = dict.fromkeys(STAT_NAMES, 0)
 
     # ------------------------------------------------------------------
     # public API
@@ -702,7 +677,7 @@ class Engine:
         if (node.kind == "instr"
                 and isinstance(node.instr, ir.IAssign)
                 and isinstance(node.instr.rhs, ir.RCall)):
-            self._stats_raw["call_transfers"] += 1
+            self.stats["call_transfers"] += 1
             interner = self._interner
             return interner.encode(self._transfer(
                 func_name, node, interner.decode(out_bits), ctx,
@@ -765,24 +740,24 @@ class Engine:
 
     def _kernel_transfer(self, kern: "_NodeKernel", out_bits: int,
                          ctx: _RunContext) -> int:
-        raw = self._stats_raw
-        raw["dataflow_steps"] += 1
+        stats = self.stats
+        stats["dataflow_steps"] += 1
         if kern.gen_coarse:
             ctx.coarse |= kern.gen_coarse
         gen = kern.gen_bits
         kill = kern.kill
         if kill is None:
             # write-less node: every fact passes through untouched
-            raw["mask_hits"] += 1
+            stats["mask_hits"] += 1
             return out_bits | gen
         result = (out_bits & kill.identity_mask) | gen
         rest = out_bits & ~kill.identity_mask
         if not rest:
-            raw["mask_hits"] += 1
+            stats["mask_hits"] += 1
             return result
         cached = kill.set_memo.get(rest)
         if cached is not None:
-            raw["mask_hits"] += 1
+            stats["mask_hits"] += 1
             if cached[1]:
                 ctx.coarse.update(cached[1])
             return result | cached[0]
@@ -816,9 +791,9 @@ class Engine:
         if pairs:
             ctx.coarse.update(pairs)
         if fresh:
-            raw["mask_fallbacks"] += 1
+            stats["mask_fallbacks"] += 1
         else:
-            raw["mask_hits"] += 1
+            stats["mask_hits"] += 1
         return result | image
 
     def _build_fact_memo(self, kill: "_KillKernel",

@@ -7,8 +7,8 @@ Three pieces, all stdlib-only:
   compiled to no-ops while disabled (the default; overhead is benchmarked
   in ``benchmarks/bench_obs.py``);
 * :mod:`repro.obs.metrics` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  of counter/gauge/histogram families backing the engine, scheduler and
-  lock-manager statistics, with registered cross-counter invariants;
+  of labeled counter and histogram families, behind the analysis server's
+  ``status`` metrics (every other component keeps plain counter fields);
 * :mod:`repro.obs.events` — envelope v1, the one JSONL schema every event
   stream (executor, resilience, chaos, tracer) validates against, plus
   :mod:`repro.obs.export` turning a stream into a Chrome/Perfetto trace or
@@ -20,15 +20,13 @@ See ``docs/OBSERVABILITY.md`` for the span taxonomy and usage.
 from .events import (EVENT_KINDS, SCHEMA_VERSION, EventWriter, SchemaError,
                      envelope, upgrade_legacy, validate_event)
 from .export import load_events, summarize, to_chrome
-from .metrics import (DEFAULT_BUCKETS, Counter, CounterBundle, Gauge,
-                      Histogram, InvariantError, MetricsRegistry)
+from .metrics import DEFAULT_BUCKETS, Counter, Histogram, MetricsRegistry
 from .trace import Tracer, configure, get_tracer, instant, span, timed
 
 __all__ = [
     "EVENT_KINDS", "SCHEMA_VERSION", "EventWriter", "SchemaError",
     "envelope", "upgrade_legacy", "validate_event",
     "load_events", "summarize", "to_chrome",
-    "DEFAULT_BUCKETS", "Counter", "CounterBundle", "Gauge", "Histogram",
-    "InvariantError", "MetricsRegistry",
+    "DEFAULT_BUCKETS", "Counter", "Histogram", "MetricsRegistry",
     "Tracer", "configure", "get_tracer", "instant", "span", "timed",
 ]

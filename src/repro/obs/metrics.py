@@ -1,32 +1,18 @@
-"""Metrics registry: counters, gauges and histograms with labeled families.
+"""Metrics registry: labeled counter and histogram families.
 
-The registry is deliberately storage-transparent: a family with exactly one
-label keeps its samples in a plain ``dict`` keyed by the label value, and a
-pre-existing dict can be *adopted* as that storage.  That lets the hot loops
-in the simulator keep doing ``per_thread_work[tid] += 1`` on what is, as far
-as they can tell, an ordinary dict — the registry only ever reads it when a
-snapshot is taken.  Scalar counters for a component are grouped into a
-:class:`CounterBundle`, a ``MutableMapping`` view the inference engine uses
-as its ``stats`` dict.
-
-Invariants over the collected values (e.g. the transfer partition
-``misses + stale + mask_hits + mask_fallbacks == dataflow_steps``) are
-registered on the registry and
-checked at collection points; violations raise :class:`InvariantError` under
-``__debug__`` and are reported as strings under ``python -O``.
+The analysis server is the one component that keeps a registry: its
+``status`` reply carries :meth:`MetricsRegistry.snapshot` (per-kind request
+latency histograms plus request, provenance and error counters).  Every
+other component — the inference engine, the simulator, the lock manager,
+the disk cache — owns its counters as plain fields or plain dicts.
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
-
 __all__ = [
     "MetricsRegistry",
-    "CounterBundle",
     "Counter",
-    "Gauge",
     "Histogram",
-    "InvariantError",
     "DEFAULT_BUCKETS",
 ]
 
@@ -34,11 +20,7 @@ __all__ = [
 # unit works); a final +inf bucket is implicit.
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
 
-_KINDS = ("counter", "gauge", "histogram")
-
-
-class InvariantError(AssertionError):
-    """A registered metrics invariant does not hold."""
+_KINDS = ("counter", "histogram")
 
 
 class Counter:
@@ -53,32 +35,8 @@ class Counter:
 
     def inc(self, amount=1):
         if amount < 0:
-            raise ValueError("counters only go up; use a gauge")
+            raise ValueError("counters only go up")
         self._values[self._key] = self._values.get(self._key, 0) + amount
-
-    @property
-    def value(self):
-        return self._values.get(self._key, 0)
-
-
-class Gauge:
-    """Scalar that can go both ways; one sample of a gauge family."""
-
-    __slots__ = ("_values", "_key")
-
-    def __init__(self, values, key):
-        self._values = values
-        self._key = key
-        values.setdefault(key, 0)
-
-    def set(self, value):
-        self._values[self._key] = value
-
-    def inc(self, amount=1):
-        self._values[self._key] = self._values.get(self._key, 0) + amount
-
-    def dec(self, amount=1):
-        self.inc(-amount)
 
     @property
     def value(self):
@@ -86,7 +44,7 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram; merge is associative and commutative."""
+    """Fixed-bucket histogram."""
 
     __slots__ = ("bounds", "counts", "total", "count", "min", "max")
 
@@ -116,44 +74,6 @@ class Histogram:
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
 
-    def merge(self, other):
-        """Return a new histogram holding both sides' observations."""
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        merged = Histogram(self.bounds)
-        merged.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        merged.total = self.total + other.total
-        merged.count = self.count + other.count
-        for side in (self, other):
-            if side.min is not None:
-                merged.min = (side.min if merged.min is None
-                              else min(merged.min, side.min))
-            if side.max is not None:
-                merged.max = (side.max if merged.max is None
-                              else max(merged.max, side.max))
-        return merged
-
-    @property
-    def mean(self):
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q):
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        holding the q-th observation; the recorded ``max`` caps the +inf
-        bucket).  Good enough for latency reporting — the error is bounded
-        by the bucket width, never by the sample count."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q!r} outside [0, 1]")
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for bound, count in zip(self.bounds, self.counts):
-            seen += count
-            if seen >= rank:
-                return bound
-        return self.max if self.max is not None else self.bounds[-1]
-
     def to_dict(self):
         return {
             "bounds": list(self.bounds),
@@ -163,13 +83,6 @@ class Histogram:
             "min": self.min,
             "max": self.max,
         }
-
-    def __eq__(self, other):
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return (self.bounds == other.bounds and self.counts == other.counts
-                and self.total == other.total and self.count == other.count
-                and self.min == other.min and self.max == other.max)
 
     def __repr__(self):
         return (f"Histogram(count={self.count}, total={self.total:.6g}, "
@@ -187,7 +100,7 @@ class Family:
     __slots__ = ("name", "kind", "label_names", "help", "values", "buckets")
 
     def __init__(self, name, kind, label_names=(), help="",  # noqa: A002
-                 buckets=DEFAULT_BUCKETS, storage=None):
+                 buckets=DEFAULT_BUCKETS):
         if kind not in _KINDS:
             raise ValueError(f"unknown metric kind {kind!r}")
         self.name = name
@@ -195,7 +108,7 @@ class Family:
         self.label_names = tuple(label_names)
         self.help = help
         self.buckets = tuple(buckets)
-        self.values = {} if storage is None else storage
+        self.values = {}
 
     def _key(self, label_values):
         if len(label_values) != len(self.label_names):
@@ -212,8 +125,6 @@ class Family:
         key = self._key(label_values)
         if self.kind == "counter":
             return Counter(self.values, key)
-        if self.kind == "gauge":
-            return Gauge(self.values, key)
         hist = self.values.get(key)
         if hist is None:
             hist = self.values[key] = Histogram(self.buckets)
@@ -226,105 +137,30 @@ class Family:
         return dict(self.values)
 
 
-class CounterBundle(MutableMapping):
-    """Dict-shaped view over a group of scalar counters in one registry.
-
-    Supports exactly the operations the inference engine uses on its
-    ``stats`` dict (``bundle[name]``, ``bundle[name] += n``, iteration,
-    ``len``) while keeping the registry as the single source of truth.
-    Unknown counter names raise ``KeyError`` so typos can't silently mint
-    untracked counters.
-    """
-
-    __slots__ = ("_values", "_names")
-
-    def __init__(self, values, names):
-        self._values = values
-        self._names = tuple(names)
-        for name in self._names:
-            values.setdefault(name, 0)
-
-    def __getitem__(self, name):
-        return self._values[name]
-
-    def __setitem__(self, name, value):
-        if name not in self._values:
-            raise KeyError(f"unregistered counter {name!r}")
-        self._values[name] = value
-
-    def __delitem__(self, name):
-        raise TypeError("counters cannot be deleted from a bundle")
-
-    def __iter__(self):
-        return iter(self._names)
-
-    def __len__(self):
-        return len(self._names)
-
-    @property
-    def raw(self):
-        """The backing name-keyed dict, for hot-loop increments.
-
-        The registry reads the same dict at snapshot time, so
-        ``bundle.raw[name] += 1`` is observationally identical to
-        ``bundle[name] += 1`` minus the ``MutableMapping`` dispatch —
-        the inference engine's bitset kernel uses this on the per-node
-        path.  Callers must only touch names registered in the bundle.
-        """
-        return self._values
-
-    def __repr__(self):
-        return f"CounterBundle({dict(self)!r})"
-
-
 class MetricsRegistry:
-    """Process-local registry of metric families plus invariants."""
+    """Process-local registry of metric families."""
 
     def __init__(self):
         self._families = {}
-        self._invariants = []
 
-    # -- family constructors ------------------------------------------------
-
-    def _family(self, name, kind, labels, help, buckets=DEFAULT_BUCKETS,  # noqa: A002
-                storage=None):
+    def _family(self, name, kind, labels, help,  # noqa: A002
+                buckets=DEFAULT_BUCKETS):
         existing = self._families.get(name)
         if existing is not None:
             if existing.kind != kind or existing.label_names != tuple(labels):
                 raise ValueError(
                     f"metric {name!r} re-registered with a different shape")
             return existing
-        family = Family(name, kind, labels, help, buckets, storage)
+        family = Family(name, kind, labels, help, buckets)
         self._families[name] = family
         return family
 
     def counter(self, name, labels=(), help=""):  # noqa: A002
         return self._family(name, "counter", labels, help)
 
-    def gauge(self, name, labels=(), help=""):  # noqa: A002
-        return self._family(name, "gauge", labels, help)
-
     def histogram(self, name, labels=(), help="",  # noqa: A002
                   buckets=DEFAULT_BUCKETS):
         return self._family(name, "histogram", labels, help, buckets)
-
-    def adopt_counter_dict(self, name, values, label, help=""):  # noqa: A002
-        """Register an existing ``dict`` as a one-label counter family.
-
-        The caller keeps mutating ``values`` directly (zero overhead on the
-        hot path); the registry reads it only at snapshot time.
-        """
-        return self._family(name, "counter", (label,), help, storage=values)
-
-    def counter_bundle(self, group, names, help=""):  # noqa: A002
-        """Scalar counters ``group.<name>`` exposed as one mapping view."""
-        family = self._family(group, "counter", ("name",), help)
-        return CounterBundle(family.values, names)
-
-    # -- collection ---------------------------------------------------------
-
-    def families(self):
-        return list(self._families.values())
 
     def snapshot(self):
         """``{family name: {kind, labels, values}}`` with plain-data values."""
@@ -336,36 +172,6 @@ class MetricsRegistry:
                 "values": {_label_key(k): v for k, v in family.data().items()},
             }
         return out
-
-    # -- invariants ---------------------------------------------------------
-
-    def add_invariant(self, name, predicate, describe=None):
-        """Register ``predicate(registry) -> bool`` checked at collection.
-
-        ``describe(registry) -> str`` renders the failure message.
-        """
-        self._invariants.append((name, predicate, describe))
-
-    def check_invariants(self, strict=None):
-        """Evaluate invariants; return failure messages.
-
-        ``strict`` defaults to ``__debug__``: violations raise
-        :class:`InvariantError` in a normal interpreter and downgrade to a
-        returned report under ``python -O``.
-        """
-        if strict is None:
-            strict = __debug__
-        failures = []
-        for name, predicate, describe in self._invariants:
-            if not predicate(self):
-                detail = describe(self) if describe else ""
-                message = f"metrics invariant {name!r} violated"
-                if detail:
-                    message += f": {detail}"
-                failures.append(message)
-        if failures and strict:
-            raise InvariantError("; ".join(failures))
-        return failures
 
 
 def _label_key(key):

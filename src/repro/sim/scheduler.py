@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
 from .deadline import CHECK_EVERY_TICKS, check_deadline
 from .policy import RoundRobinPolicy, SchedulingPolicy
@@ -71,35 +70,6 @@ class SimStats:
     per_thread_work: Dict[int, int] = field(default_factory=dict)
     per_thread_blocked: Dict[int, int] = field(default_factory=dict)
     per_thread_failed_tries: Dict[int, int] = field(default_factory=dict)
-    _registry: Optional[MetricsRegistry] = field(
-        default=None, repr=False, compare=False)
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Adopt the per-thread dicts as labeled counter families.
-
-        The dicts stay the storage, so the scheduler's hot-loop
-        ``per_thread_work[tid] += 1`` increments keep their plain-dict
-        cost; the registry reads them only at snapshot time.
-        """
-        self._registry = registry
-        registry.adopt_counter_dict(
-            "sim.thread.work", self.per_thread_work, "tid",
-            help="work units per simulated thread")
-        registry.adopt_counter_dict(
-            "sim.thread.blocked", self.per_thread_blocked, "tid",
-            help="blocked ticks per simulated thread")
-        registry.adopt_counter_dict(
-            "sim.thread.failed_tries", self.per_thread_failed_tries, "tid",
-            help="failed TRY attempts per simulated thread")
-
-    def publish(self) -> None:
-        """Mirror the scalar totals into the bound registry's gauges."""
-        if self._registry is None:
-            return
-        totals = self._registry.gauge("sim.totals", ("name",),
-                                      help="scheduler run totals")
-        for name in ("ticks", "work_done", "blocked_ticks", "failed_tries"):
-            totals.labels(name).set(getattr(self, name))
 
     @property
     def utilization(self) -> float:
@@ -144,6 +114,21 @@ class SimThread:
         return f"<thread {self.tid}: {self.state}>"
 
 
+def _wake(blocked: List[SimThread]) -> bool:
+    """Re-try the wait predicate of each still-blocked thread in *blocked*
+    (FIFO order); a thread whose predicate succeeds becomes runnable.
+    Returns whether any thread woke."""
+    woke = False
+    for thread in blocked:
+        if (thread.state == "blocked" and thread.try_fn is not None
+                and thread.try_fn()):
+            thread.state = "runnable"
+            thread.try_fn = None
+            thread.fetch()
+            woke = True
+    return woke
+
+
 class Scheduler:
     def __init__(self, ncores: int = 8, max_ticks: int = 100_000_000,
                  policy: Optional[SchedulingPolicy] = None,
@@ -158,9 +143,7 @@ class Scheduler:
         # can break the cycle by aborting a victim
         self.watchdog = watchdog
         self.threads: List[SimThread] = []
-        self.metrics = MetricsRegistry()
         self.stats = SimStats(ncores=ncores)
-        self.stats.bind(self.metrics)
         self._block_counter = 0
         self._stall = 0  # consecutive no-progress ticks with blocked threads
 
@@ -228,10 +211,7 @@ class Scheduler:
         tracer = get_tracer()
         with tracer.span("sim.run", "runtime", ncores=self.ncores,
                          threads=len(self.threads)):
-            try:
-                return self._run_loop(tracer)
-            finally:
-                self.stats.publish()
+            return self._run_loop(tracer)
 
     def _run_loop(self, tracer) -> SimStats:
         while True:
@@ -255,13 +235,7 @@ class Scheduler:
                 (t for t in unfinished if t.state == "blocked"),
                 key=lambda t: t.block_order,
             )
-            woke = False
-            for thread in blocked:
-                if thread.try_fn is not None and thread.try_fn():
-                    thread.state = "runnable"
-                    thread.try_fn = None
-                    thread.fetch()
-                    woke = True
+            woke = _wake(blocked)
             # 2. advance the policy's pick of the runnable threads
             runnable = [t for t in unfinished if t.state == "runnable"]
             if not runnable:
@@ -271,13 +245,7 @@ class Scheduler:
                         # whose wait predicate then reports success (the
                         # abort flag) and unblocks it into its retry loop
                         self.watchdog(self)
-                        for thread in blocked:
-                            if (thread.state == "blocked"
-                                    and thread.try_fn is not None
-                                    and thread.try_fn()):
-                                thread.state = "runnable"
-                                thread.try_fn = None
-                                thread.fetch()
+                        _wake(blocked)
                         runnable = [t for t in unfinished
                                     if t.state == "runnable"]
                         if runnable:

@@ -145,3 +145,23 @@ def test_shape_kmeans_stm_worst():
     stm = ticks("kmeans", "stm", None)
     glob = ticks("kmeans", "global", None)
     assert stm > glob
+
+
+class _CollidingSource(str):
+    """Source text whose hash collides with every other instance."""
+
+    def __hash__(self):
+        return 0
+
+
+def test_memos_key_by_source_text_not_its_hash():
+    from repro.bench.harness import inference_for
+    from repro.inference import shared_analysis
+    first = _CollidingSource(ALL_BENCHMARKS["list"].source)
+    second = _CollidingSource(ALL_BENCHMARKS["genome"].source)
+    assert hash(first) == hash(second)
+    assert shared_analysis(first) is not shared_analysis(second)
+    assert (inference_for(first, 1).describe()
+            == infer_locks(first, k=1).describe())
+    assert (inference_for(second, 1).describe()
+            == infer_locks(second, k=1).describe())

@@ -280,3 +280,30 @@ def test_disk_cache_keys_depend_on_configuration(tmp_path):
             engine.analyze_section(func_name, section)
     assert engine.stats["sections_from_disk"] == 0
     assert engine.stats["summaries_from_disk"] == 0
+
+
+def _skew_mask_hits(monkeypatch):
+    """Bump ``mask_hits`` once per analyzed section, as a double count in
+    the kernel would."""
+    analyze_section = Engine.analyze_section
+
+    def skewed(self, *args, **kwargs):
+        locks = analyze_section(self, *args, **kwargs)
+        self.stats["mask_hits"] += 1
+        return locks
+
+    monkeypatch.setattr(Engine, "analyze_section", skewed)
+
+
+def test_partition_check_fires_on_skewed_counters(monkeypatch):
+    _skew_mask_hits(monkeypatch)
+    with pytest.raises(AssertionError, match="!= dataflow_steps"):
+        LockInference(ALL_BENCHMARKS["list"].source, k=9).run()
+
+
+def test_reference_engine_skips_the_partition_check(monkeypatch):
+    # the reference engine has no kernel, so its counters never partition
+    _skew_mask_hits(monkeypatch)
+    result = LockInference(ALL_BENCHMARKS["list"].source, k=9,
+                           enable_caches=False).run()
+    assert result.profile.mask_hits > 0

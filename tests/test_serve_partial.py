@@ -117,7 +117,10 @@ class _StubServer:
 
     def _serve(self):
         for behavior in self.script:
-            conn, _ = self._listener.accept()
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # close() shut the listener down: no more peers
             self.accepted += 1
             try:
                 request = protocol.recv_message(conn)
@@ -133,8 +136,15 @@ class _StubServer:
                 conn.close()
 
     def close(self):
+        # a script entry no client used leaves _serve blocked in accept();
+        # shutdown wakes it (closing alone would race the blocked call)
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         self._thread.join(timeout=5)
+        assert not self._thread.is_alive(), "stub server thread hung"
 
 
 def _no_sleep(_seconds):
