@@ -11,8 +11,8 @@ Configurations:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..inference import SharedAnalysis, shared_analysis
 from . import workload

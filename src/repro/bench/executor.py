@@ -39,7 +39,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.events import envelope
@@ -48,7 +48,7 @@ from ..sim.deadline import DeadlineExceeded, clear_deadline, set_deadline
 from .configs import ALL_BENCHMARKS, CONFIG_K, CONFIGS, BenchSpec
 from .harness import RunResult, run_benchmark, seed_inference_cache
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2  # 2: RunResult carries polls and wakeups
 
 DEFAULT_CACHE_DIR = os.path.normpath(os.path.join(
     os.path.dirname(__file__), "..", "..", "..",

@@ -17,8 +17,8 @@ front half of the pipeline exactly once.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..inference import (
     InferenceResult,
@@ -27,7 +27,7 @@ from ..inference import (
     transform_global,
     transform_with_inference,
 )
-from ..interp import ProtectionError, ThreadExec, World
+from ..interp import ThreadExec, World
 from ..lang import ir
 from ..sim import Scheduler
 from .configs import CONFIG_K, BenchSpec
@@ -46,6 +46,8 @@ class RunResult:
     ticks: int
     work: int
     blocked_ticks: int
+    polls: int = 0
+    wakeups: int = 0
     stm_commits: int = 0
     stm_aborts: int = 0
     lock_acquires: int = 0
@@ -182,6 +184,8 @@ def run_benchmark(
         ticks=stats.ticks,
         work=stats.work_done,
         blocked_ticks=stats.blocked_ticks,
+        polls=stats.polls,
+        wakeups=stats.wakeups,
         stm_commits=world.stm.stats.commits,
         stm_aborts=world.stm.stats.aborts,
         lock_acquires=world.lock_manager.stats.acquires,

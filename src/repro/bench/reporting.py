@@ -10,7 +10,7 @@ Every experiment of §6 has a generator here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..inference import LockClassCounts, LockInference, SharedAnalysis
@@ -22,7 +22,7 @@ from .executor import (
     run_cells,
     table2_cells,
 )
-from .harness import RunResult, run_benchmark
+from .harness import RunResult
 
 
 def _fmt_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -15,7 +15,7 @@ concurrency control, not workload noise.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Op = Tuple[str, Tuple[int, ...]]
 

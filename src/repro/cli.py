@@ -199,6 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"{result.label} [{args.config}] x{args.threads} threads: "
           f"{result.ticks} ticks")
     print(f"  work={result.work} blocked_ticks={result.blocked_ticks} "
+          f"polls={result.polls} wakeups={result.wakeups} "
           f"lock_acquires={result.lock_acquires}")
     if args.config == "stm":
         print(f"  stm: {result.stm_commits} commits, "

@@ -32,7 +32,7 @@ JSONL event schema, tagged with the case that produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..obs.events import envelope
 from ..runtime.faults import (

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..bench.harness import build_world_for_source, run_seq
 from ..interp import Loc, World
 from ..sim import make_policy
-from .corpus import DIFF_CORPUS
-from .runner import ExploreTarget, ScheduleRecord, resolve_target, run_schedule
+from .runner import ExploreTarget, resolve_target, run_schedule
 
 DIFF_CONFIGS = ("fine+coarse", "global", "stm")
 

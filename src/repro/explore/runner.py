@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from ..bench.configs import ALL_BENCHMARKS, BenchSpec
+from ..bench.configs import ALL_BENCHMARKS
 from ..bench.harness import build_world_for_source
 from ..interp import ProtectionError, RaceDetector, ThreadExec, World
 from ..memory import InterpError
@@ -32,7 +32,7 @@ from ..sim import (
     ScriptedPolicy,
     make_policy,
 )
-from .corpus import DIFF_CORPUS, DiffProgram, Op
+from .corpus import DIFF_CORPUS, Op
 from .exhaustive import exhaustive_explore
 
 EXPLORE_POLICY_NAMES = ("rr", "round-robin", "random", "pct", "exhaustive")

@@ -65,7 +65,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 try:
     import fcntl

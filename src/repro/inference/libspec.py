@@ -32,11 +32,10 @@ Given a spec, the call transfer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..locks.effects import RO, RW
-from ..pointer.steensgaard import ECR, IDX_FIELD, PointsTo
+from ..pointer.steensgaard import ECR, PointsTo
 
 PARAM_EFFECTS = ("none", "ro", "rw")
 RETURN_KINDS = ("fresh", "unknown")  # or "param:<i>"

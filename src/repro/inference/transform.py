@@ -12,11 +12,11 @@ section is dynamically nested.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..lang import ir
 from ..locks.effects import RW
-from ..locks.paperlock import Lock, global_lock
+from ..locks.paperlock import global_lock
 from .analysis import InferenceResult
 from .engine import SectionLocks
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..locks.effects import RO, RW
+from ..locks.effects import RW
 from ..pointer.steensgaard import PointsTo
 from ..runtime.manager import LockManager, ROOT
 from ..runtime.modes import grants_read, grants_write

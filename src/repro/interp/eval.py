@@ -25,12 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang import ast, ir
 from ..locks.effects import RO, RW
-from ..locks.paperlock import Lock
 from ..locks.terms import (
     IBin,
     IConst,
     IndexExpr,
-    IUnknown,
     IVar,
     Term,
     TIndex,

@@ -17,11 +17,10 @@ the ``custom_scheme`` example, and the lattice-law property tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Tuple
+from typing import Hashable, Iterable, Tuple
 
 from .effects import RO, RW, eff_join, eff_leq
-from .terms import IConst, IUnknown, Term, TIndex, TPlus, TStar, TVar, term_size
+from .terms import Term, TIndex, TPlus, TStar, TVar, term_size
 
 TOP = "⊤"
 

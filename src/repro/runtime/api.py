@@ -3,9 +3,9 @@
 ``plan_requests`` expands a section's lock descriptors into per-node mode
 requests on the lock tree (evaluating fine-grain descriptors' expressions in
 the acquiring thread's frame), combines modes per node, and returns them in
-the canonical deadlock-free order. ``AcquireSession`` then drives the
-protocol as a simulator coroutine: one work tick per node plus a TRY event
-that blocks until the node grants.
+the canonical deadlock-free order. ``acquire_all`` then drives the
+protocol as a simulator coroutine: one work tick per node plus a TRY event,
+keyed by the lock node it waits on, that blocks until the node grants.
 
 Nesting (§5.3): each thread keeps an ``nlevel`` counter; only the outermost
 acquire/release pair touches the lock manager.
@@ -92,15 +92,19 @@ def acquire_all(manager: LockManager, tid: int,
         acquired = manager.try_acquire_node(tid, name, mode)
         if not acquired:
             wait_from = tracer.now_ticks if tracer.enabled else 0
+            # keyed wait: the scheduler re-polls only after the node's
+            # version moves (a watchdog abort moves it too, because
+            # release_all drops the victim's waiter registration)
+            node = manager.node(name)
             if runtime is None:
                 yield (TRY, lambda name=name, mode=mode:
-                       manager.try_acquire_node(tid, name, mode))
+                       manager.try_acquire_node(tid, name, mode), node)
             else:
                 # abort check first: after a watchdog revocation the
                 # victim must not re-enter the grant queue
                 yield (TRY, lambda name=name, mode=mode:
                        runtime.abort_pending(tid)
-                       or manager.try_acquire_node(tid, name, mode))
+                       or manager.try_acquire_node(tid, name, mode), node)
                 if runtime.abort_pending(tid):
                     raise SectionAbort(runtime.abort_reason(tid))
             if tracer.enabled:

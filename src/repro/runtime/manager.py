@@ -13,6 +13,14 @@ free. Locks are released all at once at the end of the section (two-phase).
 Grant policy per node: a request is granted iff its mode is compatible with
 every other holder's mode *and* with every earlier still-waiting request
 (FIFO, no overtaking — prevents writer starvation).
+
+Each node carries a ``version`` that changes on every grant, release,
+dropped waiter and changed waiter mode: everything a waiter's grant check
+reads. (A fresh waiter ranks after every existing one, so registering it
+changes no earlier waiter's outcome.) A failed grant attempt whose node
+version has not moved since the last failed attempt would fail again with
+no side effect, which is what lets the simulator re-poll a blocked wait
+only when its node changes.
 """
 
 from __future__ import annotations
@@ -25,13 +33,16 @@ from .modes import combine, compatible
 class LockNode:
     """One node in the lock tree."""
 
-    __slots__ = ("name", "holders", "waiters", "_wait_counter")
+    __slots__ = ("name", "holders", "waiters", "_wait_counter", "version")
 
     def __init__(self, name: object) -> None:
         self.name = name
         self.holders: Dict[int, str] = {}  # thread id -> combined mode
         self.waiters: Dict[int, Tuple[int, str]] = {}  # tid -> (order, mode)
         self._wait_counter = 0
+        # bumped on every grant, release, dropped waiter and changed waiter
+        # mode (this class is the only writer of holders and waiters)
+        self.version = 0
 
     def can_grant(self, tid: int, mode: str) -> bool:
         for other, held in self.holders.items():
@@ -52,18 +63,24 @@ class LockNode:
         if self.can_grant(tid, needed):
             self.holders[tid] = needed
             self.waiters.pop(tid, None)
+            self.version += 1
             return True
-        if tid not in self.waiters:
+        waiting = self.waiters.get(tid)
+        if waiting is None:
+            # ranks after every existing waiter, so no earlier waiter's
+            # outcome depends on it: no version bump
             self._wait_counter += 1
             self.waiters[tid] = (self._wait_counter, needed)
-        else:
-            order, _ = self.waiters[tid]
-            self.waiters[tid] = (order, needed)
+        elif waiting[1] != needed:
+            self.waiters[tid] = (waiting[0], needed)
+            self.version += 1
         return False
 
     def release(self, tid: int) -> None:
+        """Drop *tid*'s hold and its waiter registration, if any."""
         self.holders.pop(tid, None)
         self.waiters.pop(tid, None)
+        self.version += 1
 
 
 ROOT = ("root",)
@@ -141,7 +158,7 @@ class LockManager:
         # drop waiter registrations on nodes the thread never acquired
         # (e.g. a validate-and-retry release while a request was pending)
         for node in self._waiting.pop(tid, {}).values():
-            node.waiters.pop(tid, None)
+            node.release(tid)
         self.held[tid] = []
         self._held_names[tid] = set()
 

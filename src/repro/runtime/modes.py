@@ -8,7 +8,7 @@ IS (intention to read below), IX (intention to write below), and SIX
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ..locks.effects import RO
 

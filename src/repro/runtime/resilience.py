@@ -48,7 +48,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..memory import Heap, Loc
+from ..memory import Loc
 from ..obs.events import envelope
 from ..obs.trace import get_tracer
 from .manager import LockManager, ROOT

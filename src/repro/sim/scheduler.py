@@ -7,12 +7,18 @@ Threads are generators. Each value they yield is an *event*:
 * ``(TRY, fn)`` — attempt ``fn()``; if it returns True the thread continues
   (the attempt consumed this tick); if False the thread is *blocked* and the
   scheduler re-attempts ``fn()`` on subsequent ticks without consuming core
-  slots until it succeeds.
+  slots until it succeeds;
+* ``(TRY, fn, node)`` — the same, keyed by the lock node ``fn`` reads: a
+  blocked thread's ``fn()`` is re-attempted only on a tick where
+  ``node.version`` differs from its value after the last failed attempt
+  (a failed attempt on an unchanged node would fail again and change
+  nothing).
 
 On each tick, up to ``ncores`` runnable threads advance by one work unit, in
-round-robin order (rotating the start index for fairness). Blocked threads
-re-try their predicates at the start of every tick, in blocking order (FIFO),
-which lets lock-manager grant order stay deterministic.
+round-robin order (rotating the start index for fairness). At the start of
+every tick the blocked threads are polled in blocking order (FIFO), which
+lets lock-manager grant order stay deterministic: a bare wait is polled
+every tick, a keyed wait only after its node changed.
 
 A tick where no thread is runnable and none can unblock is a deadlock; the
 scheduler raises :class:`DeadlockError` (the transformed programs must never
@@ -32,7 +38,7 @@ rotating round-robin schedule exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional
 
 from ..obs.trace import get_tracer
 from .deadline import CHECK_EVERY_TICKS, check_deadline
@@ -66,6 +72,8 @@ class SimStats:
     work_done: int = 0
     blocked_ticks: int = 0
     failed_tries: int = 0
+    polls: int = 0  # wait predicates of blocked threads evaluated
+    wakeups: int = 0  # polls that succeeded and unblocked their thread
     ncores: int = 1
     per_thread_work: Dict[int, int] = field(default_factory=dict)
     per_thread_blocked: Dict[int, int] = field(default_factory=dict)
@@ -92,7 +100,7 @@ class SimThread:
     """
 
     __slots__ = ("tid", "gen", "state", "pending_work", "try_fn",
-                 "block_order", "current")
+                 "wait_node", "wait_version", "blocked_at", "current")
 
     def __init__(self, tid: int, gen: Generator) -> None:
         self.tid = tid
@@ -100,7 +108,9 @@ class SimThread:
         self.state = "runnable"  # runnable | blocked | done
         self.pending_work = 0  # remaining ticks of the current work event
         self.try_fn: Optional[Callable[[], bool]] = None
-        self.block_order = 0
+        self.wait_node = None  # the node a keyed wait depends on
+        self.wait_version = 0  # its version after the last failed attempt
+        self.blocked_at = 0  # the tick the thread blocked
         self.current = None  # the prefetched event
         self.fetch()
 
@@ -112,21 +122,6 @@ class SimThread:
 
     def __repr__(self) -> str:
         return f"<thread {self.tid}: {self.state}>"
-
-
-def _wake(blocked: List[SimThread]) -> bool:
-    """Re-try the wait predicate of each still-blocked thread in *blocked*
-    (FIFO order); a thread whose predicate succeeds becomes runnable.
-    Returns whether any thread woke."""
-    woke = False
-    for thread in blocked:
-        if (thread.state == "blocked" and thread.try_fn is not None
-                and thread.try_fn()):
-            thread.state = "runnable"
-            thread.try_fn = None
-            thread.fetch()
-            woke = True
-    return woke
 
 
 class Scheduler:
@@ -144,7 +139,7 @@ class Scheduler:
         self.watchdog = watchdog
         self.threads: List[SimThread] = []
         self.stats = SimStats(ncores=ncores)
-        self._block_counter = 0
+        self._blocked: List[SimThread] = []  # in blocking order (FIFO)
         self._stall = 0  # consecutive no-progress ticks with blocked threads
 
     def spawn(self, gen: Generator) -> SimThread:
@@ -200,10 +195,47 @@ class Scheduler:
                 return True
             thread.state = "blocked"
             thread.try_fn = fn
-            self._block_counter += 1
-            thread.block_order = self._block_counter
+            node = event[2] if len(event) > 2 else None
+            thread.wait_node = node
+            if node is not None:
+                thread.wait_version = node.version
+            thread.blocked_at = self.stats.ticks
+            self._blocked.append(thread)
             return False
         raise ValueError(f"unknown sim event {event!r}")
+
+    def _wake(self) -> bool:
+        """Re-try the wait predicate of each blocked thread (FIFO order); a
+        thread whose predicate succeeds becomes runnable and leaves the
+        blocked list. A keyed wait whose node has not changed since its
+        last failed attempt is skipped. Returns whether any thread woke."""
+        stats = self.stats
+        woke = False
+        for thread in self._blocked:
+            node = thread.wait_node
+            if node is not None and node.version == thread.wait_version:
+                continue
+            stats.polls += 1
+            if thread.try_fn():
+                stats.wakeups += 1
+                # blocked from the end of tick blocked_at through this one
+                stats.per_thread_blocked[thread.tid] += (
+                    stats.ticks - thread.blocked_at + 1)
+                thread.state = "runnable"
+                thread.try_fn = None
+                thread.wait_node = None
+                thread.fetch()
+                woke = True
+            elif node is not None:
+                thread.wait_version = node.version
+        if woke:
+            self._blocked[:] = [t for t in self._blocked
+                                if t.state == "blocked"]
+        return woke
+
+    def _runnable(self) -> List[SimThread]:
+        """The runnable threads in spawn order (the policy contract)."""
+        return [t for t in self.threads if t.state == "runnable"]
 
     # -- main loop -------------------------------------------------------------
 
@@ -214,30 +246,33 @@ class Scheduler:
             return self._run_loop(tracer)
 
     def _run_loop(self, tracer) -> SimStats:
+        stats = self.stats
+        blocked = self._blocked
+        per_thread_work = stats.per_thread_work
+        per_thread_failed_tries = stats.per_thread_failed_tries
+        runnable = self._runnable()
         while True:
             if tracer.enabled:
                 # eval/runtime hooks read the current tick off the tracer
                 # when opening/closing tick-clock spans
-                tracer.now_ticks = self.stats.ticks
-            unfinished = [t for t in self.threads if t.state != "done"]
-            if not unfinished:
-                return self.stats
-            if self.stats.ticks >= self.max_ticks:
+                tracer.now_ticks = stats.ticks
+            if not runnable and not blocked:
+                return stats
+            if stats.ticks >= self.max_ticks:
+                self._settle_blocked()
                 raise RuntimeError(
                     f"simulation exceeded {self.max_ticks} ticks (livelock?)"
                 )
-            if self.stats.ticks % CHECK_EVERY_TICKS == 0:
+            if stats.ticks % CHECK_EVERY_TICKS == 0:
                 check_deadline()
             if self.watchdog is not None:
                 self.watchdog(self)
             # 1. wake blocked threads whose predicates now succeed (FIFO)
-            blocked = sorted(
-                (t for t in unfinished if t.state == "blocked"),
-                key=lambda t: t.block_order,
-            )
-            woke = _wake(blocked)
+            n_blocked = len(blocked)
+            woke = n_blocked > 0 and self._wake()
+            if woke:
+                runnable = self._runnable()
             # 2. advance the policy's pick of the runnable threads
-            runnable = [t for t in unfinished if t.state == "runnable"]
             if not runnable:
                 if blocked:
                     if self.watchdog is not None:
@@ -245,58 +280,68 @@ class Scheduler:
                         # whose wait predicate then reports success (the
                         # abort flag) and unblocks it into its retry loop
                         self.watchdog(self)
-                        _wake(blocked)
-                        runnable = [t for t in unfinished
-                                    if t.state == "runnable"]
-                        if runnable:
+                        if self._wake():
+                            runnable = self._runnable()
                             self._stall = 0
                             continue
+                    self._settle_blocked()
                     raise DeadlockError(
                         "all threads blocked: "
                         + ", ".join(repr(t) for t in blocked)
                     )
-                return self.stats
-            chosen = self.policy.choose(runnable, self.ncores, self.stats.ticks)
+                continue  # every woken thread finished
+            chosen = self.policy.choose(runnable, self.ncores, stats.ticks)
             if not chosen:
                 chosen = runnable[:1]
-            if tracer.enabled and self.stats.ticks % OCCUPANCY_SAMPLE_TICKS == 0:
+            if tracer.enabled and stats.ticks % OCCUPANCY_SAMPLE_TICKS == 0:
                 tracer.sample("sim.occupancy", {
                     "runnable": len(runnable),
-                    "blocked": len(blocked),
+                    "blocked": n_blocked,
                     "chosen": len(chosen),
                 })
-            self.stats.ticks += 1
+            stats.ticks += 1
             if tracer.enabled:
-                tracer.now_ticks = self.stats.ticks
-            finished = False
+                tracer.now_ticks = stats.ticks
+            changed = finished = False
             for thread in chosen:
-                did_work = self._advance(thread)
-                if thread.state == "done":
-                    finished = True
-                if did_work:
-                    self.stats.work_done += 1
-                    self.stats.per_thread_work[thread.tid] += 1
+                if self._advance(thread):
+                    stats.work_done += 1
+                    per_thread_work[thread.tid] += 1
                 else:
-                    self.stats.failed_tries += 1
-                    self.stats.per_thread_failed_tries[thread.tid] += 1
-            still_blocked = [t for t in unfinished if t.state == "blocked"]
-            for thread in still_blocked:
-                self.stats.blocked_ticks += 1
-                self.stats.per_thread_blocked[thread.tid] += 1
+                    stats.failed_tries += 1
+                    per_thread_failed_tries[thread.tid] += 1
+                if thread.state != "runnable":
+                    changed = True
+                    if thread.state == "done":
+                        finished = True
+            if changed:
+                runnable = self._runnable()
+            stats.blocked_ticks += len(blocked)
             # 3. livelock window: blocked threads exist but nobody was
             # granted and nobody finished — count the stall; a wake, a
             # completion, or an all-runnable tick resets it
-            if still_blocked and not (woke or finished):
-                self._stall += 1
-                if (self.livelock_window is not None
-                        and self._stall >= self.livelock_window):
-                    raise LivelockError(
-                        f"no progress for {self._stall} ticks; blocked: "
-                        + ", ".join(repr(t) for t in still_blocked),
-                        blocked_tids=[t.tid for t in still_blocked],
-                    )
-            else:
+            if not blocked or woke or finished:
                 self._stall = 0
+                continue
+            self._stall += 1
+            if (self.livelock_window is not None
+                    and self._stall >= self.livelock_window):
+                self._settle_blocked()
+                still_blocked = sorted(blocked, key=lambda t: t.tid)
+                raise LivelockError(
+                    f"no progress for {self._stall} ticks; blocked: "
+                    + ", ".join(repr(t) for t in still_blocked),
+                    blocked_tids=[t.tid for t in still_blocked],
+                )
+
+    def _settle_blocked(self) -> None:
+        """Charge the still-blocked threads their blocked ticks so far (a
+        run that stops early; a woken thread is charged at its wake)."""
+        per_thread_blocked = self.stats.per_thread_blocked
+        for thread in self._blocked:
+            per_thread_blocked[thread.tid] += (
+                self.stats.ticks - thread.blocked_at + 1)
+            thread.blocked_at = self.stats.ticks + 1
 
 
 def run_threads(generators: List[Generator], ncores: int = 8,

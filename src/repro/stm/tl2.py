@@ -17,8 +17,8 @@ that dominates the paper's vacation and hashtable-high results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..memory import CellKey, Heap, Loc, Value
 

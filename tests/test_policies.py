@@ -137,6 +137,9 @@ def test_livelock_detected_with_blocked_thread_set():
     with pytest.raises(LivelockError) as excinfo:
         scheduler.run()
     assert excinfo.value.blocked_tids == frozenset({1})
+    # the still-blocked thread is charged its blocked ticks when the run stops
+    stats = scheduler.stats
+    assert stats.per_thread_blocked == {0: 0, 1: stats.blocked_ticks}
 
 
 def test_livelock_distinct_from_deadlock():
@@ -146,6 +149,8 @@ def test_livelock_distinct_from_deadlock():
     scheduler.spawn(blocked_forever())
     with pytest.raises(DeadlockError):
         scheduler.run()
+    assert scheduler.stats.per_thread_blocked == {0: 2, 1: 1}  # 1 core
+    assert scheduler.stats.blocked_ticks == 3
 
 
 def test_no_livelock_when_blocker_completes():
